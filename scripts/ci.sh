@@ -150,6 +150,14 @@ echo "== cross-backend determinism suite =="
 python -m pytest tests/test_backend_determinism.py -q
 
 echo
+echo "== end-to-end benchmark: pinned output digests =="
+# One short run per workload (about 20 s): every op must reproduce the
+# output digest pinned in benchmarks/e2e/workloads.json, or bench.py
+# exits non-zero.  replay-mar20 is left out because generating its
+# input archives takes about a minute.
+python3 benchmarks/e2e/bench.py --workload sim-medium,sweep-tiny --seconds 1
+
+echo
 echo "== smoke: core benchmark harness =="
 # Write to a scratch file so a smoke run never rewrites the tracked
 # BENCH_core.json numbers.

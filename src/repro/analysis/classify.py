@@ -131,6 +131,19 @@ class TypeCounts:
         """Count one classified announcement."""
         self.counts[announcement_type] += 1
 
+    def tally(
+        self,
+        observation: Observation,
+        announcement_type: Optional[AnnouncementType],
+    ) -> None:
+        """Count one observation by the type the classifier returned."""
+        if announcement_type is not None:
+            self.counts[announcement_type] += 1
+        elif observation.is_withdrawal:
+            self.withdrawals += 1
+        else:
+            self.unclassified_first += 1
+
     def merge(self, other: "TypeCounts") -> "TypeCounts":
         """Accumulate *other* into self (returns self for chaining)."""
         for kind, value in other.counts.items():

@@ -9,10 +9,15 @@ cross-process determinism checks trivial.
 
 Two event streams exist:
 
-* internet scenarios feed per-prefix :class:`Observation` objects (the
-  same stream the analysis layer consumes);
+* internet and mrt scenarios feed per-prefix :class:`Observation`
+  objects (the same stream the analysis layer consumes);
 * lab scenarios feed one :class:`ExperimentResult` per
   experiment × vendor cell.
+
+The proxy is the run's one §5 classification point: it types each
+observation once and hands that type to every collector with the
+observation.  Each collector counts it into its own state, which keeps
+the sharded-decode export/merge per collector.
 
 A collector implements whichever hooks it cares about; unused hooks
 are no-ops, so a `"table2"` collector silently collects nothing on a
@@ -29,18 +34,22 @@ from repro.analysis.classify import (
     TypeCounts,
     UpdateClassifier,
 )
-from repro.analysis.observations import Observation
-from repro.analysis.tables import build_table2
+from repro.analysis.observations import Observation, SessionKey
+from repro.bgp.aspath import ASPath, PathSegment, SegmentType
+from repro.bgp.community import Community
+from repro.netbase.prefix import Prefix
 
 
 class ScenarioContext:
     """Run-scoped facts collectors may need (beacons, spec, day).
 
     With live-sink streaming the context is created *before* the
-    simulation is built, so fields that only exist later (beacon
-    prefixes, the finished day) start empty and are filled in by the
-    engine as the run progresses.  Collectors that need them should
-    keep the context reference and read at finish time.
+    simulation is built, so fields that only exist later start empty
+    and are filled in by the engine as the run progresses.
+    ``beacon_prefixes`` is filled in place right after the day is
+    scheduled, before the day runs and so before any beacon prefix is
+    announced: a collector may keep a reference to the set and test
+    membership online.  ``day`` exists only once the run has ended.
     """
 
     def __init__(self, spec, *, beacon_prefixes=None, day=None):
@@ -66,8 +75,15 @@ class MetricCollector:
     def start(self, context: ScenarioContext) -> None:
         """Called once before any event is delivered."""
 
-    def observe(self, observation: Observation) -> None:
-        """One per-prefix collector observation (internet runs)."""
+    def observe(
+        self, observation: Observation, kind: "Optional[AnnouncementType]"
+    ) -> None:
+        """One per-prefix observation (internet and mrt runs).
+
+        *kind* is its §5 type, classified once by the proxy for every
+        collector: ``None`` for withdrawals and for the first
+        announcement on a (session, prefix) stream.
+        """
 
     def observe_lab(self, result) -> None:
         """One lab :class:`ExperimentResult` (lab runs)."""
@@ -112,6 +128,8 @@ class CollectorProxy:
 
     def __init__(self, collectors: "Iterable[MetricCollector]"):
         self.collectors: "List[MetricCollector]" = list(collectors)
+        # The run's single §5 classifier; its types feed every collector.
+        self._classifier = UpdateClassifier()
         #: Observations delivered so far (mid-run progress indicator).
         self.observed = 0
 
@@ -121,8 +139,9 @@ class CollectorProxy:
 
     def observe(self, observation: Observation) -> None:
         self.observed += 1
+        kind = self._classifier.observe(observation)
         for collector in self.collectors:
-            collector.observe(observation)
+            collector.observe(observation, kind)
 
     def observe_lab(self, result) -> None:
         for collector in self.collectors:
@@ -205,25 +224,36 @@ def make_collectors(names: "Iterable[str]") -> CollectorProxy:
 # ----------------------------------------------------------------------
 # built-in collectors
 # ----------------------------------------------------------------------
-@collector
-class UpdateCountsCollector(MetricCollector):
-    """Announcement/withdrawal volume plus the §5 type break-down."""
+class _TypeCountsCollector(MetricCollector):
+    """Base for collectors that tally the proxy's §5 types."""
 
-    name = "update_counts"
     supports_merge = True
 
     def __init__(self):
-        self._classifier = UpdateClassifier()
-        self._observations = 0
+        self._counts = TypeCounts()
 
-    def observe(self, observation: Observation) -> None:
-        self._observations += 1
-        self._classifier.observe(observation)
+    def observe(
+        self, observation: Observation, kind: "Optional[AnnouncementType]"
+    ) -> None:
+        self._counts.tally(observation, kind)
+
+    def export_state(self) -> dict:
+        return self._counts.to_dict()
+
+    def merge_state(self, state: dict) -> None:
+        self._counts.merge(TypeCounts.from_dict(state))
+
+
+@collector
+class UpdateCountsCollector(_TypeCountsCollector):
+    """Announcement/withdrawal volume plus the §5 type break-down."""
+
+    name = "update_counts"
 
     def finish(self) -> dict:
-        counts = self._classifier.counts
+        counts = self._counts
         return {
-            "observations": self._observations,
+            "observations": counts.announcements_total + counts.withdrawals,
             "announcements": counts.announcements_total,
             "withdrawals": counts.withdrawals,
             "types": {
@@ -231,81 +261,16 @@ class UpdateCountsCollector(MetricCollector):
             },
         }
 
-    def export_state(self) -> dict:
-        return {
-            "observations": self._observations,
-            "classifier": self._classifier.export_state(),
-        }
-
-    def merge_state(self, state: dict) -> None:
-        self._observations += int(state["observations"])
-        self._classifier.merge_state(state["classifier"])
-
 
 @collector
-class CommunityPrevalenceCollector(MetricCollector):
-    """How widespread communities are in the collected feed."""
-
-    name = "community_prevalence"
-    supports_merge = True
-
-    def __init__(self):
-        self._announcements = 0
-        self._with_communities = 0
-        self._unique_16bit = set()
-
-    def observe(self, observation: Observation) -> None:
-        if not observation.is_announcement:
-            return
-        self._announcements += 1
-        if observation.communities.is_empty():
-            return
-        self._with_communities += 1
-        for community in observation.communities.classic:
-            self._unique_16bit.add(community.value)
-
-    def finish(self) -> dict:
-        share = (
-            self._with_communities / self._announcements
-            if self._announcements
-            else 0.0
-        )
-        return {
-            "announcements": self._announcements,
-            "with_communities": self._with_communities,
-            "community_share": share,
-            "unique_16bit_communities": len(self._unique_16bit),
-        }
-
-    def export_state(self) -> dict:
-        return {
-            "announcements": self._announcements,
-            "with_communities": self._with_communities,
-            "unique_16bit": sorted(self._unique_16bit),
-        }
-
-    def merge_state(self, state: dict) -> None:
-        self._announcements += int(state["announcements"])
-        self._with_communities += int(state["with_communities"])
-        self._unique_16bit.update(state["unique_16bit"])
-
-
-@collector
-class DuplicatesCollector(MetricCollector):
+class DuplicatesCollector(_TypeCountsCollector):
     """Duplicate (`nn`) and community-only (`nc`) announcement rates —
     the paper's headline spurious-update metric."""
 
     name = "duplicates"
-    supports_merge = True
-
-    def __init__(self):
-        self._classifier = UpdateClassifier()
-
-    def observe(self, observation: Observation) -> None:
-        self._classifier.observe(observation)
 
     def finish(self) -> dict:
-        counts = self._classifier.counts
+        counts = self._counts
         total = counts.classified_total
         nn = counts.counts[AnnouncementType.NN]
         nc = counts.counts[AnnouncementType.NC]
@@ -318,22 +283,78 @@ class DuplicatesCollector(MetricCollector):
             "spurious_share": (nn + nc) / total if total else 0.0,
         }
 
+
+@collector
+class CommunityPrevalenceCollector(MetricCollector):
+    """How widespread communities are in the collected feed."""
+
+    name = "community_prevalence"
+    supports_merge = True
+
+    def __init__(self):
+        self._announcements = 0
+        self._with_communities = 0
+        # Distinct classic-community frozensets, folded into 16-bit
+        # values only when read: decode interning repeats the same
+        # frozensets, and a frozenset caches its hash.
+        self._classic_sets: set = set()
+
+    def observe(
+        self, observation: Observation, kind: "Optional[AnnouncementType]"
+    ) -> None:
+        if not observation.is_withdrawal:
+            self._count_announcement(observation)
+
+    def _count_announcement(self, observation: Observation) -> None:
+        self._announcements += 1
+        communities = observation.communities
+        if not communities.is_empty():
+            self._with_communities += 1
+            self._classic_sets.add(communities.classic)
+
+    def _unique_16bit(self) -> set:
+        return {
+            community.value
+            for classic in self._classic_sets
+            for community in classic
+        }
+
+    def finish(self) -> dict:
+        share = (
+            self._with_communities / self._announcements
+            if self._announcements
+            else 0.0
+        )
+        return {
+            "announcements": self._announcements,
+            "with_communities": self._with_communities,
+            "community_share": share,
+            "unique_16bit_communities": len(self._unique_16bit()),
+        }
+
     def export_state(self) -> dict:
-        return {"classifier": self._classifier.export_state()}
+        return {
+            "announcements": self._announcements,
+            "with_communities": self._with_communities,
+            "unique_16bit": sorted(self._unique_16bit()),
+        }
 
     def merge_state(self, state: dict) -> None:
-        self._classifier.merge_state(state["classifier"])
+        self._announcements += int(state["announcements"])
+        self._with_communities += int(state["with_communities"])
+        self._classic_sets.add(
+            frozenset(Community(value) for value in state["unique_16bit"])
+        )
 
 
-def _canonical_path(path) -> tuple:
+def _canonical_path(path: ASPath) -> tuple:
     """A hashable, JSON-friendly form with ASPath's equality semantics.
 
     One tuple per segment: ``(segment kind, member ASNs...)`` — members
     sorted and deduplicated for set segments (whose equality is by
     frozenset), kept in wire order for sequences.  Equal paths map to
-    equal tuples and distinct paths to distinct tuples, so counting
-    unique canonical forms counts unique paths — including across
-    decode shards, where the objects themselves cannot travel.
+    equal tuples and distinct paths to distinct tuples, so a shard's
+    paths can travel as JSON and be rebuilt by :func:`_path_from_canonical`.
     """
     return tuple(
         (int(segment.kind),)
@@ -346,185 +367,144 @@ def _canonical_path(path) -> tuple:
     )
 
 
+def _path_from_canonical(canonical) -> ASPath:
+    return ASPath(
+        PathSegment(SegmentType(kind), asns) for kind, *asns in canonical
+    )
+
+
 @collector
-class Table1Collector(MetricCollector):
+class Table1Collector(CommunityPrevalenceCollector):
     """The paper's Table 1 dataset overview.
 
-    Accumulates incrementally in the canonical exportable forms
-    (prefix strings, session tuples, canonical path tuples) instead of
-    buffering every observation, so memory tracks the number of
-    *distinct* entities rather than feed length — and a shard's whole
-    state serializes for the parallel-decode merge.
+    Keeps only the distinct prefixes, sessions and AS paths — the
+    interned objects the decoder hands out — so memory tracks distinct
+    entities rather than feed length.  Peers, ASes and the IPv4/IPv6
+    split are derived from them when read, and only
+    :meth:`export_state` turns them into JSON data for the
+    parallel-decode merge.  The community columns are the inherited
+    prevalence counts.
     """
 
     name = "table1"
-    supports_merge = True
 
     def __init__(self):
-        self._v4: set = set()
-        self._v6: set = set()
-        self._ases: set = set()
+        super().__init__()
+        self._prefixes: set = set()
         self._sessions: set = set()
-        self._peers: set = set()
         self._paths: set = set()
-        self._communities_16bit: set = set()
-        self._announcements = 0
-        self._with_communities = 0
         self._withdrawals = 0
-        # Decode interning repeats the same ASPath objects for the
-        # overwhelming majority of announcements; memoizing their
-        # canonical form keeps this collector O(1) per observation.
-        self._canonical_memo: dict = {}
 
-    def observe(self, observation: Observation) -> None:
-        session = observation.session
-        self._sessions.add(
-            (session.collector, int(session.peer_asn), session.peer_address)
-        )
-        self._peers.add(int(session.peer_asn))
-        prefix = observation.prefix
-        if prefix.version == 4:
-            self._v4.add(str(prefix))
-        else:
-            self._v6.add(str(prefix))
+    def observe(
+        self, observation: Observation, kind: "Optional[AnnouncementType]"
+    ) -> None:
+        self._sessions.add(observation.session)
+        self._prefixes.add(observation.prefix)
         if observation.is_withdrawal:
             self._withdrawals += 1
             return
-        self._announcements += 1
-        path = observation.as_path
-        if path is not None:
-            canonical = self._canonical_memo.get(path)
-            if canonical is None:
-                canonical = _canonical_path(path)
-                self._canonical_memo[path] = canonical
-            if canonical not in self._paths:
-                self._paths.add(canonical)
-                self._ases.update(int(asn) for asn in path.asns())
-        if not observation.communities.is_empty():
-            self._with_communities += 1
-            for community in observation.communities.classic:
-                self._communities_16bit.add(community.value)
+        self._count_announcement(observation)
+        if observation.as_path is not None:
+            self._paths.add(observation.as_path)
 
     def finish(self) -> dict:
-        announcements = self._announcements
-        share = (
-            self._with_communities / announcements if announcements else 0.0
-        )
+        ipv4 = sum(1 for prefix in self._prefixes if prefix.version == 4)
+        ases = {int(asn) for path in self._paths for asn in path.asns()}
         return {
-            "ipv4_prefixes": len(self._v4),
-            "ipv6_prefixes": len(self._v6),
-            "ases": len(self._ases),
+            "ipv4_prefixes": ipv4,
+            "ipv6_prefixes": len(self._prefixes) - ipv4,
+            "ases": len(ases),
             "sessions": len(self._sessions),
-            "peers": len(self._peers),
-            "announcements": announcements,
+            "peers": len({session.peer_asn for session in self._sessions}),
+            "announcements": self._announcements,
             "with_communities": self._with_communities,
-            "unique_16bit_communities": len(self._communities_16bit),
+            "unique_16bit_communities": len(self._unique_16bit()),
             "unique_as_paths": len(self._paths),
             "withdrawals": self._withdrawals,
-            "community_share": share,
+            "community_share": super().finish()["community_share"],
         }
 
     def export_state(self) -> dict:
-        return {
-            "v4": sorted(self._v4),
-            "v6": sorted(self._v6),
-            "ases": sorted(self._ases),
-            "sessions": sorted(list(item) for item in self._sessions),
-            "peers": sorted(self._peers),
-            "paths": sorted(
-                [list(segment) for segment in path] for path in self._paths
-            ),
-            "communities_16bit": sorted(self._communities_16bit),
-            "announcements": self._announcements,
-            "with_communities": self._with_communities,
-            "withdrawals": self._withdrawals,
-        }
+        state = super().export_state()
+        state.update(
+            {
+                "prefixes": sorted(str(prefix) for prefix in self._prefixes),
+                "sessions": sorted(
+                    [s.collector, int(s.peer_asn), s.peer_address]
+                    for s in self._sessions
+                ),
+                "paths": sorted(
+                    [list(segment) for segment in _canonical_path(path)]
+                    for path in self._paths
+                ),
+                "withdrawals": self._withdrawals,
+            }
+        )
+        return state
 
     def merge_state(self, state: dict) -> None:
-        self._v4.update(state["v4"])
-        self._v6.update(state["v6"])
-        self._ases.update(state["ases"])
-        self._sessions.update(tuple(item) for item in state["sessions"])
-        self._peers.update(state["peers"])
-        self._paths.update(
-            tuple(tuple(segment) for segment in path)
-            for path in state["paths"]
+        super().merge_state(state)
+        self._prefixes.update(Prefix(text) for text in state["prefixes"])
+        self._sessions.update(
+            SessionKey(*item) for item in state["sessions"]
         )
-        self._communities_16bit.update(state["communities_16bit"])
-        self._announcements += int(state["announcements"])
-        self._with_communities += int(state["with_communities"])
+        self._paths.update(
+            _path_from_canonical(path) for path in state["paths"]
+        )
         self._withdrawals += int(state["withdrawals"])
+
+
+def _shares(counts: TypeCounts) -> dict:
+    return {kind.value: counts.share(kind) for kind in TYPE_ORDER}
 
 
 @collector
 class Table2Collector(MetricCollector):
-    """The paper's Table 2 announcement-type shares (full + beacons)."""
+    """The paper's Table 2 announcement-type shares (full + beacons).
+
+    Counts the full feed and the beacon-prefix subset online.  The
+    subset needs no classifier of its own: beacon membership is by
+    prefix, so a beacon announcement's (session, prefix) stream — and
+    hence its shared type — is the same in both columns.
+    """
 
     name = "table2"
-    #: Mergeable for MRT replays: no simulation means no beacon
-    #: schedule, so the beacon subset is vacuously empty and only the
-    #: full-feed counts need to travel (export classifies the shard's
-    #: buffered observations; the per-stream state stays shard-local).
     supports_merge = True
 
     def __init__(self):
-        self._observations: "List[Observation]" = []
-        self._context: "Optional[ScenarioContext]" = None
-        self._merged: "Optional[TypeCounts]" = None
+        self._full = TypeCounts()
+        self._beacon = TypeCounts()
+        # Empty until start(): sharded-decode workers never call it.
+        self._beacon_prefixes: set = set()
 
     def start(self, context: ScenarioContext) -> None:
-        # Keep the reference, not a copy: under live streaming the
-        # engine fills in beacon prefixes only once the simulation has
-        # scheduled them, which is after start() fires.
-        self._context = context
+        # Keep the engine's set itself, not a copy: it is filled in
+        # place once the day is scheduled, after start().
+        self._beacon_prefixes = context.beacon_prefixes
 
-    def observe(self, observation: Observation) -> None:
-        self._observations.append(observation)
+    def observe(
+        self, observation: Observation, kind: "Optional[AnnouncementType]"
+    ) -> None:
+        self._full.tally(observation, kind)
+        if observation.prefix in self._beacon_prefixes:
+            self._beacon.tally(observation, kind)
 
     def finish(self) -> dict:
-        if self._merged is not None:
-            # Merged shard counts: same output as a serial beacon-free
-            # run, where empty beacons make the subset column None.
-            return {
-                "full_shares": {
-                    kind.value: self._merged.share(kind)
-                    for kind in TYPE_ORDER
-                },
-                "beacon_shares": None,
-                "classified": self._merged.classified_total,
-            }
-        beacons = (
-            set(self._context.beacon_prefixes)
-            if self._context is not None
-            else set()
-        )
-        table = build_table2(
-            self._observations, beacons if beacons else None
-        )
-        full = {
-            kind.value: table.full.share(kind) for kind in TYPE_ORDER
-        }
-        beacon = (
-            {kind.value: table.beacon.share(kind) for kind in TYPE_ORDER}
-            if table.beacon is not None
-            else None
-        )
+        # No beacon schedule (MRT replays) leaves the subset column None.
         return {
-            "full_shares": full,
-            "beacon_shares": beacon,
-            "classified": table.full.classified_total,
+            "full_shares": _shares(self._full),
+            "beacon_shares": (
+                _shares(self._beacon) if self._beacon_prefixes else None
+            ),
+            "classified": self._full.classified_total,
         }
 
     def export_state(self) -> dict:
-        classifier = UpdateClassifier()
-        for observation in self._observations:
-            classifier.observe(observation)
-        return {"full": classifier.counts.to_dict()}
+        return {"full": self._full.to_dict(), "beacon": self._beacon.to_dict()}
 
     def merge_state(self, state: dict) -> None:
-        if self._merged is None:
-            self._merged = TypeCounts()
-        self._merged.merge(TypeCounts.from_dict(state["full"]))
+        self._full.merge(TypeCounts.from_dict(state["full"]))
+        self._beacon.merge(TypeCounts.from_dict(state["beacon"]))
 
 
 @collector
@@ -542,36 +522,38 @@ class DampingReplayCollector(MetricCollector):
         from repro.simulator.damping import RouteDamper
 
         self._damper = RouteDamper()
-        self._classifier = UpdateClassifier()
         self._passed = {kind: 0 for kind in AnnouncementType}
         self._suppressed = {kind: 0 for kind in AnnouncementType}
 
-    def observe(self, observation: Observation) -> None:
-        key = str(observation.session)
-        announcement_type = self._classifier.observe(observation)
+    def observe(
+        self, observation: Observation, kind: "Optional[AnnouncementType]"
+    ) -> None:
+        # The damper only hashes its peer key, so the interned
+        # SessionKey serves as well as its string form.
+        session = observation.session
         if observation.is_withdrawal:
             self._damper.penalize(
-                key,
+                session,
                 observation.prefix,
                 observation.timestamp,
                 is_withdrawal=True,
             )
             return
-        if announcement_type is None:
+        if kind is None:
             return
-        if announcement_type != AnnouncementType.NN:
+        if kind != AnnouncementType.NN:
             self._damper.penalize(
-                key,
+                session,
                 observation.prefix,
                 observation.timestamp,
                 is_withdrawal=False,
             )
         if self._damper.is_suppressed(
-            key, observation.prefix, observation.timestamp
+            session, observation.prefix, observation.timestamp
         ):
-            self._suppressed[announcement_type] += 1
+            self._suppressed[kind] += 1
         else:
-            self._passed[announcement_type] += 1
+            self._passed[kind] += 1
 
     def finish(self) -> dict:
         total = sum(self._passed.values()) + sum(

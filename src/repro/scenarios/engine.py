@@ -364,6 +364,9 @@ def _run_internet(
         with obs_metrics.phase("internet.build"):
             model.build()
             model.schedule_day()
+            # Only the scheduled beacon events originate beacon
+            # prefixes, so the set is complete before any is announced.
+            context.beacon_prefixes.update(model.beacon_prefixes)
         with obs_metrics.phase("internet.run"):
             model.run_day()
     except PipelineStop:
@@ -390,7 +393,6 @@ def _run_internet(
         collector.close()
         if collector.spill_path is not None:
             spill_paths[collector.name] = collector.spill_path
-    context.beacon_prefixes.update(day.beacon_prefixes)
     context.day = day
     return stopped
 

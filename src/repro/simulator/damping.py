@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Hashable, Optional, Tuple
 
 from repro.netbase.prefix import Prefix
 
@@ -86,7 +86,7 @@ class RouteDamper:
 
     def __init__(self, config: "DampingConfig | None" = None):
         self.config = config or DampingConfig()
-        self._entries: Dict[Tuple[str, Prefix], _DampingEntry] = {}
+        self._entries: Dict[Tuple[Hashable, Prefix], _DampingEntry] = {}
         #: Counters for the ablation reports.
         self.suppressions = 0
         self.releases = 0
@@ -104,7 +104,7 @@ class RouteDamper:
 
     def penalize(
         self,
-        peer: str,
+        peer: Hashable,
         prefix: Prefix,
         now: float,
         *,
@@ -135,7 +135,9 @@ class RouteDamper:
             self.suppressions += 1
         return entry.suppressed
 
-    def is_suppressed(self, peer: str, prefix: Prefix, now: float) -> bool:
+    def is_suppressed(
+        self, peer: Hashable, prefix: Prefix, now: float
+    ) -> bool:
         """Check (and lazily update) the suppression state."""
         key = (peer, prefix)
         entry = self._entries.get(key)
@@ -159,7 +161,7 @@ class RouteDamper:
         return entry.suppressed
 
     def penalty_of(
-        self, peer: str, prefix: Prefix, now: float
+        self, peer: Hashable, prefix: Prefix, now: float
     ) -> float:
         """Current decayed penalty (0 when unknown)."""
         entry = self._entries.get((peer, prefix))
@@ -168,7 +170,7 @@ class RouteDamper:
         return self._decayed_penalty(entry, now)
 
     def reuse_eta(
-        self, peer: str, prefix: Prefix, now: float
+        self, peer: Hashable, prefix: Prefix, now: float
     ) -> Optional[float]:
         """Seconds until a suppressed route becomes reusable."""
         entry = self._entries.get((peer, prefix))

@@ -99,6 +99,13 @@ class TestInternetEquivalence:
             kind.value: table2.full.share(kind) for kind in TYPE_ORDER
         }
         assert engine_shares == direct_shares
+        # The beacon column is counted online, so the beacon set must
+        # be known before the first beacon announcement arrives.
+        assert day.beacon_prefixes
+        assert result.metrics["table2"]["beacon_shares"] == {
+            kind.value: table2.beacon.share(kind) for kind in TYPE_ORDER
+        }
+        assert table2.beacon.classified_total > 0
         assert result.metrics["update_counts"]["observations"] == len(
             observations
         )
