@@ -34,8 +34,12 @@ class WellKnownCommunity(enum.IntEnum):
     NO_PEER = 0xFFFFFF04
 
 
-class Community:
+class Community(int):
     """A classic RFC 1997 community (32 bits, rendered ``asn:value``).
+
+    An ``int`` subclass, so hashing, equality and ordering run in C.
+    Hence ``Community(v) == v`` for a plain int *v*, though
+    :class:`CommunitySet` accepts only :class:`Community` members.
 
     >>> Community.parse("3356:300")
     Community('3356:300')
@@ -43,12 +47,12 @@ class Community:
     True
     """
 
-    __slots__ = ("_value",)
+    __slots__ = ()
 
-    def __init__(self, value: int):
+    def __new__(cls, value: int):
         if not 0 <= value <= 0xFFFFFFFF:
             raise AttributeError_(f"community out of range: {value}")
-        self._value = value
+        return int.__new__(cls, value)
 
     @classmethod
     def parse(cls, text: str) -> "Community":
@@ -73,18 +77,18 @@ class Community:
 
     @property
     def value(self) -> int:
-        """The raw 32-bit value."""
-        return self._value
+        """The raw 32-bit value (a plain ``int``)."""
+        return int(self)
 
     @property
     def asn(self) -> int:
         """The high 16 bits — the AS that defines the semantics."""
-        return self._value >> 16
+        return self >> 16
 
     @property
     def local_value(self) -> int:
         """The low 16 bits — the AS-specific value."""
-        return self._value & 0xFFFF
+        return self & 0xFFFF
 
     @property
     def is_well_known(self) -> bool:
@@ -98,32 +102,14 @@ class Community:
 
     def to_bytes(self) -> bytes:
         """Encode as the 4-byte wire form."""
-        return self._value.to_bytes(4, "big")
+        return int.to_bytes(self, 4, "big")
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Community":
         """Decode a 4-byte wire form."""
         if len(data) != 4:
             raise AttributeError_(f"community must be 4 bytes, got {len(data)}")
-        return cls(int.from_bytes(data, "big"))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Community):
-            return NotImplemented
-        return self._value == other._value
-
-    def __lt__(self, other: "Community") -> bool:
-        if not isinstance(other, Community):
-            return NotImplemented
-        return self._value < other._value
-
-    def __hash__(self) -> int:
-        # The raw value, not hash(("community", value)): this runs for
-        # every community-set membership probe on the simulator's hot
-        # path, and the tuple allocation dominated the lookup.  Nothing
-        # output-facing iterates the backing frozensets unsorted, so
-        # the element order change is invisible.
-        return self._value
+        return int.__new__(cls, int.from_bytes(data, "big"))  # always fits
 
     def __repr__(self) -> str:
         return f"Community('{self}')"
@@ -244,14 +230,16 @@ class CommunitySet:
         classic: Iterable[Community] = (),
         large: Iterable[LargeCommunity] = (),
     ):
-        self._classic = frozenset(classic)
+        # Check before deduplicating: Community(v) would absorb a plain v.
+        classic = tuple(classic)
         self._large = frozenset(large)
-        for item in self._classic:
+        for item in classic:
             if not isinstance(item, Community):
                 raise AttributeError_(f"not a Community: {item!r}")
         for item in self._large:
             if not isinstance(item, LargeCommunity):
                 raise AttributeError_(f"not a LargeCommunity: {item!r}")
+        self._classic = frozenset(classic)
 
     # ------------------------------------------------------------------
     # constructors
@@ -310,6 +298,17 @@ class CommunitySet:
         made._large = large
         return made
 
+    @classmethod
+    def _of(cls, items: tuple) -> "CommunitySet":
+        """Validated set of *items*, classic and large mixed."""
+        for item in items:
+            if not isinstance(item, (Community, LargeCommunity)):
+                raise AttributeError_(f"not a community: {item!r}")
+        return cls._make(
+            frozenset(c for c in items if isinstance(c, Community)),
+            frozenset(c for c in items if isinstance(c, LargeCommunity)),
+        )
+
     def add(self, *items: "Community | LargeCommunity") -> "CommunitySet":
         """Return a new set with *items* included.
 
@@ -317,36 +316,14 @@ class CommunitySet:
         common case on policy re-application, and it lets equality
         checks downstream hit the identity fast path.
         """
-        if all(
-            item in self._classic or item in self._large for item in items
-        ):
-            return self
-        classic = set(self._classic)
-        large = set(self._large)
-        for item in items:
-            if isinstance(item, Community):
-                classic.add(item)
-            elif isinstance(item, LargeCommunity):
-                large.add(item)
-            else:
-                raise AttributeError_(f"not a community: {item!r}")
-        return CommunitySet._make(frozenset(classic), frozenset(large))
+        return self.union(CommunitySet._of(items))
 
     def remove(self, *items: "Community | LargeCommunity") -> "CommunitySet":
         """Return a new set with *items* excluded (missing ones ignored).
 
         Returns ``self`` when nothing is present to remove.
         """
-        if not any(
-            item in self._classic or item in self._large for item in items
-        ):
-            return self
-        classic = set(self._classic)
-        large = set(self._large)
-        for item in items:
-            classic.discard(item)  # type: ignore[arg-type]
-            large.discard(item)  # type: ignore[arg-type]
-        return CommunitySet._make(frozenset(classic), frozenset(large))
+        return self.difference(CommunitySet._of(items))
 
     def union(self, other: "CommunitySet") -> "CommunitySet":
         """Set union (returns ``self`` when it already covers *other*)."""
@@ -354,6 +331,16 @@ class CommunitySet:
             return self
         return CommunitySet._make(
             self._classic | other._classic, self._large | other._large
+        )
+
+    def difference(self, other: "CommunitySet") -> "CommunitySet":
+        """Set difference (returns ``self`` when nothing is removed)."""
+        if self._classic.isdisjoint(other._classic) and self._large.isdisjoint(
+            other._large
+        ):
+            return self
+        return CommunitySet._make(
+            self._classic - other._classic, self._large - other._large
         )
 
     def filter(self, predicate) -> "CommunitySet":

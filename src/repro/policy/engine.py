@@ -8,26 +8,24 @@ bundles an import chain and an export chain for one BGP neighbor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from typing import Iterable, NamedTuple, Optional
 
 from repro.bgp.attributes import PathAttributes
 from repro.netbase.asn import ASN
 from repro.netbase.prefix import Prefix
 
 
-@dataclass(frozen=True, slots=True)
-class PolicyContext:
+class PolicyContext(NamedTuple):
     """Facts a policy step may consult.
 
-    ``local_asn``/``peer_asn`` identify the session direction;
-    ``prefix`` is the route's destination; ``ingress_point`` names the
-    router/location where the route enters the AS (geo-taggers encode
-    it into a community).
+    ``local_asn`` is the AS applying the policy; ``prefix`` is the
+    route's destination; ``ingress_point`` names the router/location
+    where the route enters the AS (geo-taggers encode it; ``None`` on
+    export).  No field names the peer, so update groups can share one.
     """
 
     local_asn: ASN
-    peer_asn: ASN
     prefix: Prefix
     ingress_point: Optional[str] = None
     is_ebgp: bool = True
@@ -38,6 +36,11 @@ class PolicyStep:
 
     Subclasses override :meth:`apply`; returning ``None`` rejects the
     route, any other value replaces the attribute set.
+
+    A router runs a shared export chain once per update group (see
+    :mod:`repro.simulator.router`), so an export step must depend only
+    on its configuration, the attributes and the context, and must not
+    rewrite NEXT_HOP.
     """
 
     def apply(
@@ -114,10 +117,11 @@ class PolicyChain:
 
 @dataclass
 class RoutingPolicy:
-    """Per-neighbor import and export chains."""
+    """Per-neighbor import and export chains (by default the shared,
+    immutable accept chains)."""
 
-    import_chain: PolicyChain = field(default_factory=PolicyChain)
-    export_chain: PolicyChain = field(default_factory=PolicyChain)
+    import_chain: PolicyChain = PolicyChain()
+    export_chain: PolicyChain = PolicyChain()
 
     @classmethod
     def permissive(cls) -> "RoutingPolicy":

@@ -12,6 +12,11 @@ the router recomputes the egress attributes for every peer.  If the
 egress attributes are identical to what was previously sent, the vendor
 profile decides: Junos suppresses (Adj-RIB-Out comparison), Cisco and
 BIRD emit an exact duplicate — the `nn` updates measured in §5-§6.
+
+As in FRR's and Cisco IOS's update groups, a best-route change is
+exported once per group of sessions of one kind (eBGP/iBGP) sharing an
+export chain object, and copied to each member with its own eBGP
+NEXT_HOP; every session still does its own Adj-RIB-Out check and MRAI.
 """
 
 from __future__ import annotations
@@ -238,13 +243,8 @@ class Router:
             return rib_in.withdraw(prefix) is not None
         import_chain = self._policies[key].import_chain
         if import_chain.steps:
-            context = PolicyContext(
-                local_asn=self.asn,
-                peer_asn=self._peer_asns[key],
-                prefix=prefix,
-                ingress_point=self._ingress_points.get(key),
-                is_ebgp=is_ebgp,
-            )
+            ingress = self._ingress_points.get(key)
+            context = PolicyContext(self.asn, prefix, ingress, is_ebgp)
             imported = import_chain.apply(attributes, context)
             if imported is None:
                 return rib_in.withdraw(prefix) is not None
@@ -306,14 +306,31 @@ class Router:
             self._propagate_route(prefix, best)
 
     def _propagate_route(self, prefix: Prefix, route: Route) -> None:
-        """Advertise the (new) best route to every eligible peer."""
+        """Advertise the new best route; one export per update group."""
+        # _egress_for's scoping rules, decided once per session kind.
+        exportable = {
+            True: honor_no_export(route.attributes, is_ebgp=True),
+            False: route.source != RouteSource.IBGP
+            and honor_no_export(route.attributes, is_ebgp=False),
+        }
+        groups: "Dict[tuple, PathAttributes | None]" = {}
         for session in self._sessions:
             if not session.established:
                 continue
-            if not self._may_export(route, session):
+            key = session.session_id
+            is_ebgp = session.is_ebgp
+            if not exportable[is_ebgp] or route.peer_id == self._peer_ids[key]:
                 self._withdraw_from_peer(session, prefix)
                 continue
-            egress = self._export_attributes(route, session)
+            group = (is_ebgp, self._policies[key].export_chain)
+            if group not in groups:
+                groups[group] = self._export_attributes(route, session)
+                egress = groups[group]
+            elif groups[group] is not None and is_ebgp:
+                next_hop = self._local_addresses[key]
+                egress = groups[group].replace(next_hop=next_hop)
+            else:
+                egress = groups[group]
             if egress is None:
                 self._withdraw_from_peer(session, prefix)
                 continue
@@ -326,19 +343,21 @@ class Router:
                 continue
             self._withdraw_from_peer(session, prefix)
 
-    def _may_export(self, route: Route, session: BGPSession) -> bool:
-        """Scoping rules that precede export policy."""
+    def _egress_for(
+        self, route: "Route | None", session: BGPSession
+    ) -> "PathAttributes | None":
+        """Export *route* on one session; None: advertise nothing."""
+        if route is None:
+            return None
         # Never advertise back to the router the route came from.
-        if route.peer_id is not None and route.peer_id == self._peer_ids[
-            session.session_id
-        ]:
-            return False
+        if route.peer_id == self._peer_ids[session.session_id]:
+            return None
         # Full-mesh iBGP: iBGP-learned routes stay put.
         if route.source == RouteSource.IBGP and not session.is_ebgp:
-            return False
+            return None
         if not honor_no_export(route.attributes, is_ebgp=session.is_ebgp):
-            return False
-        return True
+            return None
+        return self._export_attributes(route, session)
 
     def _export_attributes(
         self, route: Route, session: BGPSession
@@ -376,12 +395,7 @@ class Router:
         export_chain = self._policies[key].export_chain
         if not export_chain.steps:
             return attributes
-        context = PolicyContext(
-            local_asn=self.asn,
-            peer_asn=self._peer_asns[key],
-            prefix=route.prefix,
-            is_ebgp=session.is_ebgp,
-        )
+        context = PolicyContext(self.asn, route.prefix, is_ebgp=session.is_ebgp)
         return export_chain.apply(attributes, context)
 
     def _advertise(
@@ -432,18 +446,11 @@ class Router:
         if not session.established:
             return
         for prefix in pending:
-            route = self._loc_rib.get(prefix)
-            if route is None:
-                self._withdraw_from_peer(session, prefix)
-                continue
-            if not self._may_export(route, session):
-                self._withdraw_from_peer(session, prefix)
-                continue
-            egress = self._export_attributes(route, session)
+            egress = self._egress_for(self._loc_rib.get(prefix), session)
             if egress is None:
                 self._withdraw_from_peer(session, prefix)
-                continue
-            self._advertise(session, prefix, egress)
+            else:
+                self._advertise(session, prefix, egress)
 
     def refresh_exports(self, session: BGPSession) -> int:
         """Re-evaluate all exports on *session* after a policy change.
@@ -459,12 +466,7 @@ class Router:
         sent = 0
         rib_out = self._adj_rib_out[session.session_id]
         for prefix in sorted(self._loc_rib.prefixes()):
-            route = self._loc_rib.get(prefix)
-            if route is None:
-                continue
-            egress: "PathAttributes | None" = None
-            if self._may_export(route, session):
-                egress = self._export_attributes(route, session)
+            egress = self._egress_for(self._loc_rib.get(prefix), session)
             if egress is None:
                 if rib_out.is_advertised(prefix):
                     self._withdraw_from_peer(session, prefix)
@@ -491,13 +493,9 @@ class Router:
     def session_up(self, session: BGPSession) -> None:
         """Handle session (re-)establishment: send the full table."""
         for prefix in sorted(self._loc_rib.prefixes()):
-            route = self._loc_rib.get(prefix)
-            if route is None or not self._may_export(route, session):
-                continue
-            egress = self._export_attributes(route, session)
-            if egress is None:
-                continue
-            self._advertise(session, prefix, egress)
+            egress = self._egress_for(self._loc_rib.get(prefix), session)
+            if egress is not None:
+                self._advertise(session, prefix, egress)
 
     def __repr__(self) -> str:
         return (

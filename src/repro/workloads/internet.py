@@ -239,6 +239,9 @@ class InternetModel:
         self._routers: Dict[int, Router] = {}
         self._taggers: Dict[int, GeoTagger] = {}
         self._scrubs: Dict[int, bool] = {}
+        #: Session policies by what determines them, shared so that
+        #: equal-policy sessions form one update group on the router.
+        self._policies: Dict[tuple, RoutingPolicy] = {}
         self._adjacency_sessions: List[BGPSession] = []
         self._parallel_sessions: List[BGPSession] = []
         self._collector_sessions: List[BGPSession] = []
@@ -394,6 +397,13 @@ class InternetModel:
         link_index: int,
     ) -> RoutingPolicy:
         """Build import/export chains for one session endpoint."""
+        med = None
+        if (
+            relationship_to_neighbor == Relationship.PROVIDER
+            and adjacency.link_count > 1
+        ):
+            # Multi-link customer: steer inbound traffic with MED.
+            med = 10 * (link_index + 1)
         practice = self.practices.get(local_asn, CommunityPractice.IGNORER)
         import_steps = []
         if practice == CommunityPractice.CLEANER_INGRESS:
@@ -411,15 +421,14 @@ class InternetModel:
             export_steps.append(ScrubInternalTags(local_asn))
         if practice == CommunityPractice.CLEANER_EGRESS:
             export_steps.append(StripAllCommunities())
-        if (
-            relationship_to_neighbor == Relationship.PROVIDER
-            and adjacency.link_count > 1
-        ):
-            # Multi-link customer: steer inbound traffic with MED.
-            export_steps.append(SetMED(10 * (link_index + 1)))
-        return RoutingPolicy(
-            import_chain=PolicyChain(import_steps),
-            export_chain=PolicyChain(export_steps),
+        if med is not None:
+            export_steps.append(SetMED(med))
+        return self._policies.setdefault(
+            (local_asn, relationship_to_neighbor, med),
+            RoutingPolicy(
+                import_chain=PolicyChain(import_steps),
+                export_chain=PolicyChain(export_steps),
+            ),
         )
 
     def _create_collectors(self) -> None:
@@ -458,8 +467,9 @@ class InternetModel:
                     collector,
                     router,
                     delay=self._rng.uniform(*config.delay_range),
-                    policy_b=RoutingPolicy(
-                        export_chain=PolicyChain(export_steps)
+                    policy_b=self._policies.setdefault(
+                        (spec.asn, cleans),
+                        RoutingPolicy(export_chain=PolicyChain(export_steps)),
                     ),
                 )
                 self._collector_sessions.append(session)

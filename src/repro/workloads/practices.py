@@ -23,7 +23,7 @@ route collectors observe constantly.
 from __future__ import annotations
 
 import enum
-from repro.bgp.community import Community
+from repro.bgp.community import Community, CommunitySet
 from repro.policy.engine import PolicyContext, PolicyStep
 from repro.workloads.topology_gen import Relationship
 
@@ -66,12 +66,13 @@ class RelationshipImportPolicy(PolicyStep):
     def __init__(self, local_asn: int, relationship: Relationship):
         self._local_asn = int(local_asn) & 0xFFFF
         self._relationship = relationship
-        self._tag = Community.of(self._local_asn, _REL_VALUE[relationship])
+        own = _REL_VALUE[relationship]
+        self._tag = CommunitySet((Community.of(self._local_asn, own),))
         self._local_pref = _REL_LOCAL_PREF[relationship]
-        self._stale_tags = tuple(
+        self._stale_tags = CommunitySet(
             Community.of(self._local_asn, value)
             for value in (REL_CUSTOMER, REL_PEER, REL_PROVIDER)
-            if value != _REL_VALUE[relationship]
+            if value != own
         )
 
     @property
@@ -82,10 +83,10 @@ class RelationshipImportPolicy(PolicyStep):
     def apply(self, attributes, context: PolicyContext):
         # Replace any stale own relationship tag (route moved between
         # ingress sessions of different relationships).
-        communities = attributes.communities.remove(*self._stale_tags)
+        communities = attributes.communities.difference(self._stale_tags)
         return attributes.replace(
             local_pref=self._local_pref,
-            communities=communities.add(self._tag),
+            communities=communities.union(self._tag),
         )
 
     def describe(self) -> str:
@@ -128,14 +129,14 @@ class ScrubInternalTags(PolicyStep):
 
     def __init__(self, local_asn: int):
         self._local_asn = int(local_asn) & 0xFFFF
-        self._tags = tuple(
+        self._tags = CommunitySet(
             Community.of(self._local_asn, value)
             for value in (REL_CUSTOMER, REL_PEER, REL_PROVIDER)
         )
 
     def apply(self, attributes, context: PolicyContext):
-        cleaned = attributes.communities.remove(*self._tags)
-        if cleaned == attributes.communities:
+        cleaned = attributes.communities.difference(self._tags)
+        if cleaned is attributes.communities:
             return attributes
         return attributes.with_communities(cleaned)
 

@@ -1,6 +1,9 @@
 """Unit tests for repro.bgp.community."""
 
+import pickle
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bgp import (
     BLACKHOLE,
@@ -157,5 +160,122 @@ class TestCommunitySet:
         with pytest.raises(AttributeError_):
             CommunitySet.empty().add("1:1")  # type: ignore[arg-type]
 
+    def test_rejects_plain_ints_equal_to_members(self):
+        """``Community(v) == v``, so a membership shortcut would wave a
+        plain int through; every entry point must still refuse it."""
+        member = Community.of(1, 1)
+        present = CommunitySet((member,))
+        with pytest.raises(AttributeError_):
+            CommunitySet(classic=(int(member),))
+        with pytest.raises(AttributeError_):
+            CommunitySet(classic=(member, int(member)))
+        with pytest.raises(AttributeError_):
+            present.add(int(member))
+        with pytest.raises(AttributeError_):
+            present.remove(int(member))
+        with pytest.raises(AttributeError_):
+            CommunitySet.empty().remove(int(member))
+
     def test_cleared(self):
         assert CommunitySet.parse("1:1").cleared().is_empty()
+
+
+class TestCommunityContract:
+    """What code relying on the ``int``-backed Community may assume."""
+
+    def test_equals_its_plain_value(self):
+        community = Community.parse("3356:300")
+        assert community == (3356 << 16) | 300
+        assert hash(community) == hash((3356 << 16) | 300)
+        assert type(community.value) is int
+
+    def test_text_forms(self):
+        community = Community.parse("3356:300")
+        assert str(community) == "3356:300"
+        assert f"{community}" == "3356:300"
+        assert repr(community) == "Community('3356:300')"
+
+    def test_sort_order_is_numeric(self):
+        values = [Community.of(2, 0), Community.of(1, 5), Community.of(1, 1)]
+        assert [str(c) for c in sorted(values)] == ["1:1", "1:5", "2:0"]
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip_keeps_the_type(self, protocol):
+        community = Community.parse("64500:7")
+        loaded = pickle.loads(pickle.dumps(community, protocol))
+        assert type(loaded) is Community
+        assert loaded == community and str(loaded) == "64500:7"
+
+    def test_community_set_pickle_round_trip(self):
+        members = CommunitySet.parse("64500:7 1:2:3")
+        loaded = pickle.loads(pickle.dumps(members))
+        assert loaded == members
+        assert all(type(c) is Community for c in loaded.classic)
+
+    def test_never_equal_to_a_large_community(self):
+        for value in (0, 1, (1 << 16) | 2):
+            classic = Community(value)
+            for large in (
+                LargeCommunity(0, 0, value),
+                LargeCommunity(value, 0, 0),
+            ):
+                assert classic != large and large != classic
+                assert large not in frozenset((classic,))
+                assert classic not in frozenset((large,))
+
+
+_CLASSIC = st.builds(
+    lambda asn, value: (asn << 16) | value,
+    st.integers(0, 3),
+    st.integers(0, 3),
+)
+_LARGE = st.tuples(st.integers(0, 3), st.integers(0, 1), st.integers(0, 1))
+_MODEL = st.tuples(st.frozensets(_CLASSIC), st.frozensets(_LARGE))
+
+
+def _build(model):
+    classic, large = model
+    return CommunitySet(
+        (Community(value) for value in classic),
+        (LargeCommunity(*fields) for fields in large),
+    )
+
+
+def _model(communities):
+    assert all(type(c) is Community for c in communities.classic)
+    return (
+        frozenset(int(c) for c in communities.classic),
+        frozenset((c.global_admin, c.data1, c.data2) for c in communities.large),
+    )
+
+
+class TestCommunitySetAlgebra:
+    """``CommunitySet`` agrees with plain frozensets of ints/tuples."""
+
+    @given(_MODEL, _MODEL, st.integers(0, 4))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_frozenset_reference(self, left, right, asn):
+        first, second = _build(left), _build(right)
+        union = (left[0] | right[0], left[1] | right[1])
+        difference = (left[0] - right[0], left[1] - right[1])
+        assert _model(first.union(second)) == union
+        assert _model(first.add(*second)) == union
+        assert _model(first.difference(second)) == difference
+        assert _model(first.remove(*second)) == difference
+        assert _model(first.without_asn(asn)) == (
+            frozenset(v for v in left[0] if v >> 16 != asn),
+            frozenset(t for t in left[1] if t[0] != asn),
+        )
+        assert first.union(second) == _build(union)
+        assert first.difference(second) == _build(difference)
+
+    @given(_MODEL, _MODEL)
+    @settings(max_examples=100, deadline=None)
+    def test_unchanged_results_are_self(self, left, right):
+        first, second = _build(left), _build(right)
+        covers = right[0] <= left[0] and right[1] <= left[1]
+        disjoint = not (left[0] & right[0]) and not (left[1] & right[1])
+        assert (first.union(second) is first) == covers
+        assert (first.add(*second) is first) == covers
+        assert (first.difference(second) is first) == disjoint
+        assert (first.remove(*second) is first) == disjoint

@@ -17,6 +17,7 @@ from repro.analysis import (
     observations_from_collector,
 )
 from repro.analysis.revealed import revealed_communities
+from repro.rib.route import RouteSource
 from repro.workloads import InternetConfig, InternetModel
 
 
@@ -50,6 +51,32 @@ class TestStructure:
     def test_practices_assigned_to_all_ases(self, simulated_day):
         assert set(simulated_day.practices) == set(
             simulated_day.topology.ases
+        )
+
+
+class TestGaoRexfordPreference:
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "known defect: Router._import_route runs the import chain and"
+            " then replaces local_pref with None on every eBGP route,"
+            " wiping the LOCAL_PREF RelationshipImportPolicy set; fixing"
+            " it changes every pinned simulated digest"
+        ),
+    )
+    def test_ebgp_routes_keep_relationship_local_pref(self, simulated_day):
+        """Customer/peer/provider routes should carry LOCAL_PREF
+        200/150/80 in the Loc-RIB after convergence."""
+        ebgp_routes = [
+            route
+            for router in simulated_day.network.routers.values()
+            for route in map(router.loc_rib.get, router.loc_rib.prefixes())
+            if route.source == RouteSource.EBGP
+        ]
+        assert ebgp_routes
+        assert all(
+            route.attributes.local_pref in (200, 150, 80)
+            for route in ebgp_routes
         )
 
 

@@ -30,7 +30,6 @@ from repro.policy.geo import GeoCommunityScheme, build_locations
 
 CONTEXT = PolicyContext(
     local_asn=ASN(64500),
-    peer_asn=ASN(64501),
     prefix=Prefix("203.0.113.0/24"),
     ingress_point="frankfurt-1",
     is_ebgp=True,
@@ -136,7 +135,6 @@ class TestFilters:
         assert step.apply(attrs(), CONTEXT) is None
         other = PolicyContext(
             local_asn=ASN(64500),
-            peer_asn=ASN(64501),
             prefix=Prefix("10.0.0.0/8"),
         )
         assert step.apply(attrs(), other) is not None
@@ -205,7 +203,6 @@ class TestGeo:
         tagged_frankfurt = tagger.apply(attrs(""), CONTEXT)
         dallas_context = PolicyContext(
             local_asn=ASN(64500),
-            peer_asn=ASN(64501),
             prefix=Prefix("203.0.113.0/24"),
             ingress_point="dallas-1",
         )

@@ -23,7 +23,6 @@ from repro.bgp.community import Community
 
 CONTEXT = PolicyContext(
     local_asn=ASN(64500),
-    peer_asn=ASN(64501),
     prefix=Prefix("203.0.113.0/24"),
 )
 
