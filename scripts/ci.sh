@@ -197,7 +197,8 @@ python benchmarks/bench_obs.py --quick --max-overhead 0.15 \
 echo
 echo "== smoke: mrt-replay of a spilled archive =="
 # Run the spilling scenario through the real CLI, pull the spill path
-# out of the JSON result, and replay it through the same pipeline.
+# out of the JSON result, and replay it through the same pipeline.  The
+# replay must count exactly what the live run counted (live == spill).
 python -m repro scenario run internet-small-spill --json \
     > "$CACHE_DIR/spill-result.json"
 SPILL_PATH="$(python -c '
@@ -206,8 +207,19 @@ result = json.load(open(sys.argv[1]))
 print(result["spill_paths"]["rrc00"])
 ' "$CACHE_DIR/spill-result.json")"
 echo "spilled archive: $SPILL_PATH"
-python -m repro scenario run mrt-replay --input "$SPILL_PATH"
+python -m repro scenario run mrt-replay --input "$SPILL_PATH" --json \
+    > "$CACHE_DIR/replay-result.json"
 rm -f "$SPILL_PATH"
+python -c '
+import json, sys
+live, replay = (
+    json.load(open(path))["metrics"]["update_counts"] for path in sys.argv[1:]
+)
+print("live:  ", json.dumps(live, sort_keys=True))
+print("replay:", json.dumps(replay, sort_keys=True))
+if replay != live:
+    sys.exit("mrt-replay of the spilled archive disagrees with the live run")
+' "$CACHE_DIR/spill-result.json" "$CACHE_DIR/replay-result.json"
 
 echo
 echo "CI OK"

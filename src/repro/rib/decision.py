@@ -9,11 +9,12 @@ practice:
 4.  Lowest MED, compared only between routes from the same neighbor AS
     (``always_compare_med`` widens this to all routes, as the Cisco
     knob of the same name does).
-5.  Prefer eBGP-learned over iBGP-learned.
+5.  Prefer locally originated over eBGP-learned over iBGP-learned.
 6.  Lowest IGP cost to the BGP next hop (hot-potato routing — this is
     the step that flips Y1's choice from Y2 to Y3 in the paper's Exp1
     when the Y1–Y2 link dies).
-7.  Lowest BGP router ID of the advertising router.
+7.  Lowest BGP router ID of the advertising router (with
+    ``prefer_oldest``, the oldest route first, then the router ID).
 8.  Lowest peer address.
 
 The process is deterministic: given the same candidate set it always
@@ -72,22 +73,10 @@ class DecisionProcess:
             raise ValueError(
                 f"decision over mixed prefixes: {sorted(map(str, prefixes))}"
             )
-        # Steps 1-3 are one lexicographic minimum: highest LOCAL_PREF,
-        # then shortest path, then lowest origin — a single pass over
-        # precomputed keys instead of three filter rounds.
-        keyed = [
-            (
-                (
-                    -route.effective_local_pref,
-                    route.attributes.as_path.length(),
-                    route.attributes.origin,
-                ),
-                route,
-            )
-            for route in pool
-        ]
-        best_key = min(key for key, _route in keyed)
-        pool = [route for key, route in keyed if key == best_key]
+        # Steps 1-3 are one lexicographic minimum over Route.rank:
+        # highest LOCAL_PREF, then shortest path, then lowest origin.
+        best_rank = min([route.rank for route in pool])
+        pool = [route for route in pool if route.rank == best_rank]
         if len(pool) == 1:
             return pool[0]
         for step in (
@@ -109,47 +98,32 @@ class DecisionProcess:
         pool = self._filter_peer_address(pool)
         return pool[0]
 
-    def ranking(self, candidates: Iterable[Route]) -> "list[Route]":
-        """Return candidates ordered best-first (for path exploration).
-
-        Produced by repeatedly removing the winner; quadratic, but the
-        candidate sets are per-prefix and tiny.
-        """
-        remaining = [route for route in candidates if route is not None]
-        ordered: list = []
-        while remaining:
-            best = self.select(remaining)
-            ordered.append(best)
-            remaining = [r for r in remaining if r is not best]
-        return ordered
-
     # ------------------------------------------------------------------
     # individual steps — each keeps only the surviving candidates
     # (steps 1-3 are fused into one lexicographic pass in select())
     # ------------------------------------------------------------------
     def _filter_med(self, pool: Sequence[Route]) -> "list[Route]":
-        if len(pool) < 2:
+        meds = [route.effective_med for route in pool]
+        lowest = min(meds)
+        if lowest == max(meds):
+            # Equal MEDs eliminate nobody, whichever routes compare.
             return list(pool)
         if self._config.always_compare_med:
-            best = min(route.effective_med for route in pool)
-            return [r for r in pool if r.effective_med == best]
+            return [r for r, med in zip(pool, meds) if med == lowest]
         # Standard semantics: eliminate a route only when a same-
         # neighbor-AS rival has strictly lower MED.  One pass computes
         # the lowest MED per neighbor AS; a route is beaten exactly
         # when its neighbor's minimum is strictly below its own MED.
+        neighbors = [route.neighbor_asn for route in pool]
         lowest_med: dict = {}
-        meds = []
-        for route in pool:
-            neighbor = route.neighbor_asn
-            med = route.effective_med
-            meds.append((neighbor, med))
+        for neighbor, med in zip(neighbors, meds):
             if neighbor is not None:
                 known = lowest_med.get(neighbor)
                 if known is None or med < known:
                     lowest_med[neighbor] = med
         return [
             route
-            for route, (neighbor, med) in zip(pool, meds)
+            for route, neighbor, med in zip(pool, neighbors, meds)
             if neighbor is None or lowest_med[neighbor] >= med
         ]
 

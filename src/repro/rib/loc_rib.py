@@ -16,12 +16,6 @@ class LocRIB:
     def __init__(self):
         self._best: Dict[Prefix, Route] = {}
 
-    def install(self, route: Route) -> "Route | None":
-        """Install *route* as best, returning the replaced entry."""
-        previous = self._best.get(route.prefix)
-        self._best[route.prefix] = route
-        return previous
-
     def update(self, route: Route) -> "tuple[bool, Route | None]":
         """Install *route* unless an equal entry is already best.
 

@@ -31,8 +31,7 @@ class RouteSource(enum.Enum):
 class Route:
     """One candidate path for one prefix.
 
-    Routes are immutable; policy transforms produce new instances via
-    :meth:`with_attributes`.
+    Routes are immutable: a changed route is a new instance.
     """
 
     __slots__ = (
@@ -45,6 +44,7 @@ class Route:
         "_igp_cost",
         "_learned_at",
         "_neighbor",
+        "_rank",
     )
 
     def __init__(
@@ -67,6 +67,7 @@ class Route:
         self._peer_address = peer_address
         self._igp_cost = int(igp_cost)
         self._learned_at = float(learned_at)
+        self._rank: "tuple[int, int, int] | None" = None
 
     # ------------------------------------------------------------------
     # accessors
@@ -136,45 +137,28 @@ class Route:
             self._neighbor = self._attributes.as_path.first_asn
             return self._neighbor
 
-    # ------------------------------------------------------------------
-    # derivation
-    # ------------------------------------------------------------------
-    def with_attributes(self, attributes: PathAttributes) -> "Route":
-        """Return a copy carrying different attributes."""
-        return Route(
-            self._prefix,
-            attributes,
-            source=self._source,
-            peer_id=self._peer_id,
-            peer_asn=self._peer_asn,
-            peer_address=self._peer_address,
-            igp_cost=self._igp_cost,
-            learned_at=self._learned_at,
-        )
+    @property
+    def rank(self) -> "tuple[int, int, int]":
+        """Decision steps 1-3 as one key, lower is better:
+        (-LOCAL_PREF, AS-path length, ORIGIN).
 
-    def with_igp_cost(self, igp_cost: int) -> "Route":
-        """Return a copy with a different IGP cost to the next hop."""
-        return Route(
-            self._prefix,
-            self._attributes,
-            source=self._source,
-            peer_id=self._peer_id,
-            peer_asn=self._peer_asn,
-            peer_address=self._peer_address,
-            igp_cost=igp_cost,
-            learned_at=self._learned_at,
-        )
+        The decision process and the router's incremental
+        reconsideration both order routes by this key, so it lives in
+        one place.  Computed on first use, then cached.
+        """
+        rank = self._rank
+        if rank is None:
+            attributes = self._attributes
+            rank = self._rank = (
+                -self.effective_local_pref,
+                attributes.as_path.length(),
+                int(attributes.origin),
+            )
+        return rank
 
     # ------------------------------------------------------------------
     # comparison
     # ------------------------------------------------------------------
-    def same_announcement(self, other: "Route") -> bool:
-        """True when prefix and attributes (wire content) are equal."""
-        return (
-            self._prefix == other._prefix
-            and self._attributes == other._attributes
-        )
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Route):
             return NotImplemented

@@ -209,45 +209,54 @@ class Router:
     ) -> None:
         """Run one UPDATE through import, decision and propagation."""
         self.received_updates += 1
-        dirty: Set[Prefix] = set()
+        # Changed prefix -> its Adj-RIB-In entry before this message.
+        dirty: Dict[Prefix, Optional[Route]] = {}
         for prefix in message.withdrawn:
-            if rib_in.withdraw(prefix) is not None:
-                dirty.add(prefix)
+            previous = rib_in.withdraw(prefix)
+            if previous is not None:
+                dirty.setdefault(prefix, previous)
         if message.announced:
             assert message.attributes is not None
             for prefix in message.announced:
-                changed = self._import_route(
-                    session, rib_in, prefix, message.attributes
-                )
-                if changed:
-                    dirty.add(prefix)
-        if len(dirty) == 1:
-            self._reconsider(dirty.pop())
-        elif dirty:
-            for prefix in sorted(dirty):
+                previous = rib_in.get(prefix)
+                route = self._import_route(session, prefix, message.attributes)
+                if route is None:
+                    # Rejected: withdraws what the peer sent before.
+                    if previous is None:
+                        continue
+                    rib_in.withdraw(prefix)
+                elif route == previous:
+                    continue
+                else:
+                    rib_in.install(route)
+                dirty.setdefault(prefix, previous)
+        # A down session's routes are no candidates: decide in full.
+        established = session.established
+        for prefix in sorted(dirty):
+            if established:
+                self._reconsider(prefix, (dirty[prefix], rib_in.get(prefix)))
+            else:
                 self._reconsider(prefix)
 
     def _import_route(
         self,
         session: BGPSession,
-        rib_in: AdjRIBIn,
         prefix: Prefix,
         attributes: PathAttributes,
-    ) -> bool:
-        """Run import processing; True when Adj-RIB-In changed."""
+    ) -> "Route | None":
+        """Run import processing; None when the route is rejected."""
         key = session.session_id
         is_ebgp = session.is_ebgp
         if is_ebgp and attributes.as_path.contains(self.asn):
-            # AS-path loop: RFC 4271 mandates rejection.  Treat like a
-            # withdrawal when the peer previously advertised the prefix.
-            return rib_in.withdraw(prefix) is not None
+            # AS-path loop: RFC 4271 mandates rejection.
+            return None
         import_chain = self._policies[key].import_chain
         if import_chain.steps:
             ingress = self._ingress_points.get(key)
             context = PolicyContext(self.asn, prefix, ingress, is_ebgp)
             imported = import_chain.apply(attributes, context)
             if imported is None:
-                return rib_in.withdraw(prefix) is not None
+                return None
         else:
             # Permissive chain: identity transform, no context needed.
             imported = attributes
@@ -263,7 +272,7 @@ class Router:
                 imported = imported.replace(
                     next_hop=peer_address, local_pref=None
                 )
-        route = Route(
+        return Route(
             prefix,
             imported,
             source=(RouteSource.EBGP if is_ebgp else RouteSource.IBGP),
@@ -273,11 +282,6 @@ class Router:
             igp_cost=self._igp_cost_via(session),
             learned_at=self._network.queue.now,
         )
-        previous = rib_in.get(prefix)
-        if previous is not None and previous == route:
-            return False
-        rib_in.install(route)
-        return True
 
     def _igp_cost_via(self, session: BGPSession) -> int:
         """IGP distance to a next hop reached through *session*."""
@@ -286,8 +290,34 @@ class Router:
     # ------------------------------------------------------------------
     # decision + propagation
     # ------------------------------------------------------------------
-    def _reconsider(self, prefix: Prefix) -> None:
-        """Re-run the decision process for *prefix* and propagate."""
+    def _reconsider(
+        self,
+        prefix: Prefix,
+        change: "tuple[Route | None, Route | None] | None" = None,
+    ) -> None:
+        """Re-run the decision process for *prefix* and propagate.
+
+        *change* is ``(old, new)`` when exactly one candidate changed,
+        from *old* to *new* (None: absent).  Against the current best's
+        :attr:`Route.rank` (decision steps 1-3), two outcomes are then
+        known without a decision run: a strictly better *new* wins, and
+        when neither *old* nor *new* ties or beats the best the step-3
+        tie set is untouched, so the best stays (MED and every later
+        step only compare inside that set).  Anything else runs the
+        full decision process.
+        """
+        current = self._loc_rib.get(prefix)
+        if change is not None and current is not None:
+            old, new = change
+            rank = current.rank
+            if new is not None and new.rank < rank:
+                self._loc_rib.update(new)
+                self._propagate_route(prefix, new)
+                return
+            if (old is None or old.rank > rank) and (
+                new is None or new.rank > rank
+            ):
+                return
         candidates: List[Route] = []
         local = self._local_routes.get(prefix)
         if local is not None:

@@ -152,13 +152,6 @@ class TestDecisionSteps:
                 [route(), route(prefix=Prefix("10.0.0.0/8"))]
             )
 
-    def test_ranking_orders_best_first(self):
-        best = route("65001 65099")
-        middle = route("65001 65002 65099", peer_id="192.0.2.2")
-        worst = route("65001 65002 65003 65099", peer_id="192.0.2.3")
-        ranked = DecisionProcess().ranking([worst, middle, best])
-        assert ranked == [best, middle, worst]
-
 
 class TestDeterminism:
     paths = st.lists(
@@ -255,25 +248,9 @@ class TestRIBs:
     def test_loc_rib(self):
         loc = LocRIB()
         best = route()
-        assert loc.install(best) is None
+        assert loc.update(best) == (True, None)
         assert loc.get(PREFIX) is best
         assert PREFIX in loc
         assert loc.remove(PREFIX) is best
         assert loc.get(PREFIX) is None
         assert len(loc) == 0
-
-    def test_route_with_attributes_preserves_metadata(self):
-        original = route(igp_cost=7)
-        updated = original.with_attributes(
-            original.attributes.replace(med=9)
-        )
-        assert updated.igp_cost == 7
-        assert updated.peer_id == original.peer_id
-        assert updated.attributes.med == 9
-
-    def test_route_with_igp_cost(self):
-        assert route().with_igp_cost(42).igp_cost == 42
-
-    def test_route_same_announcement(self):
-        assert route().same_announcement(route(peer_id="192.0.2.99"))
-        assert not route().same_announcement(route("65001 65002 65099"))

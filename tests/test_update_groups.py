@@ -220,7 +220,12 @@ class TestOperationCounts:
     EXPORTS = 2626
     PER_SESSION_EXPORTS = 4197
     EVENTS = 2604
-    DECISION_RUNS = 2361
+    #: ``Router._reconsider`` calls: one per changed prefix.
+    RECONSIDERS = 2361
+    #: Calls that ran ``DecisionProcess.select`` (all of them before
+    #: incremental reconsideration) and calls the rank shortcut settled.
+    DECISION_RUNS = 1716
+    SHORTCUTS = 645
     #: ``PathAttributes.replace`` calls (11,193 per session).
     REWRITES = 9822
 
@@ -228,13 +233,14 @@ class TestOperationCounts:
     def counts(self):
         patch = pytest.MonkeyPatch()
         counts = dict.fromkeys(
-            ("exports", "in_propagate", "pairs", "eligible", "decisions",
-             "rewrites"),
+            ("exports", "in_propagate", "pairs", "eligible", "reconsiders",
+             "decisions", "shortcuts", "rewrites"),
             0,
         )
         inside = [False]
         propagate = Router._propagate_route
         export = Router._export_attributes
+        reconsider = Router._reconsider
         select = DecisionProcess.select
         replace = PathAttributes.replace
 
@@ -265,6 +271,12 @@ class TestOperationCounts:
             counts["in_propagate"] += inside[0]
             return export(self, route, session)
 
+        def counting_reconsider(self, prefix, change=None):
+            counts["reconsiders"] += 1
+            decisions = counts["decisions"]
+            reconsider(self, prefix, change)
+            counts["shortcuts"] += counts["decisions"] == decisions
+
         def counting_select(self, candidates):
             counts["decisions"] += 1
             return select(self, candidates)
@@ -277,6 +289,7 @@ class TestOperationCounts:
             patch.setattr(BGPSession, "_counter", 0)
             patch.setattr(Router, "_propagate_route", counting_propagate)
             patch.setattr(Router, "_export_attributes", counting_export)
+            patch.setattr(Router, "_reconsider", counting_reconsider)
             patch.setattr(DecisionProcess, "select", counting_select)
             patch.setattr(PathAttributes, "replace", counting_replace)
             model = InternetModel(
@@ -299,5 +312,7 @@ class TestOperationCounts:
             == self.PER_SESSION_EXPORTS
         )
         assert counts["events"] == self.EVENTS
+        assert counts["reconsiders"] == self.RECONSIDERS
         assert counts["decisions"] == self.DECISION_RUNS
+        assert counts["shortcuts"] == self.SHORTCUTS
         assert counts["rewrites"] == self.REWRITES
