@@ -24,14 +24,6 @@ memo caches on and off — and the classification counts, record counts
 and a fingerprint over every re-encoded record must be bit-identical,
 proving the interning caches are a pure optimization.
 
-Since the parallel sharded decode landed, every run additionally
-verifies the sharded path: classifier state + reader stats must
-fingerprint identically to the serial pass at every requested worker
-count with zero ``mrt.shard.fallback`` ticks, and a worker-count
-scaling curve (``parallel_decode_classify_obs_per_sec``) is recorded
-next to the serial rates, together with the box's ``cpu_count`` so a
-flat curve on a small machine reads as hardware, not regression.
-
 Usage::
 
     python benchmarks/bench_analysis.py            # both rungs, repeat 3
@@ -41,10 +33,9 @@ Usage::
 
 ``--min-throughput-ratio R`` fails the run unless the measured
 decode+classify rate reaches ``R x`` the recorded pre-overhaul
-baseline in ``BENCH_analysis.json`` (CI runs the quick rung this way,
-with ``--workers 2`` pinning the sharded-vs-serial verify).
-``--verify`` runs only the equivalence checks — fast-vs-naive and
-sharded-vs-serial at every ``--workers`` count — and writes nothing.
+baseline in ``BENCH_analysis.json`` (CI runs the quick rung this way).
+``--verify`` runs only the fast-vs-naive equivalence check and writes
+nothing.
 
 The amplified archives are cached under ``--archive-cache`` (default:
 a ``repro-bench-archives`` dir in the system temp dir), keyed by
@@ -76,8 +67,6 @@ from repro.bgp.wire import encode_message  # noqa: E402
 from repro.mrt import records as mrt_records  # noqa: E402
 from repro.mrt.reader import MRTReader  # noqa: E402
 from repro.netbase import prefix as prefix_module  # noqa: E402
-from repro.obs import metrics as obs_metrics  # noqa: E402
-from repro.pipeline.parallel import FALLBACK_COUNTER  # noqa: E402
 from repro.pipeline.stream import replay_mrt  # noqa: E402
 from repro.scenarios import get_scenario, run_scenario, spec_hash  # noqa: E402
 from repro.simulator.session import BGPSession  # noqa: E402
@@ -89,8 +78,6 @@ CONFIGS = {
 }
 DEFAULT_SCENARIOS = ("small-x8", "small-x32")
 QUICK_SCENARIOS = ("small-x8",)
-DEFAULT_WORKER_COUNTS = (1, 2, 4, 8)
-QUICK_WORKER_COUNTS = (2,)
 
 
 def default_archive_cache() -> str:
@@ -262,71 +249,6 @@ def verify_fast_vs_naive(config: str, path: str) -> dict:
     }
 
 
-def classify_fingerprint(
-    path: str, workers: "int | None" = None
-) -> "tuple[str, int]":
-    """(sha256-16 over classifier state + reader stats, fallback ticks).
-
-    The fingerprint covers the full exported classifier state — every
-    §5 type count, unclassified-first and withdrawal tallies — plus the
-    reader's record/skip/error/observation totals, so a sharded run
-    that matches the serial fingerprint decoded, classified and merged
-    bit-identically.  Fallback ticks are read from the gated
-    ``mrt.shard.fallback`` counter; a verified run must show zero.
-    """
-    classifier = UpdateClassifier()
-    stats: dict = {}
-    with obs_metrics.enabled_scope():
-        obs_metrics.reset_metrics()
-        replay_mrt(
-            path, classifier, collector="bench", stats=stats, workers=workers
-        )
-        fallbacks = obs_metrics.registry().counter_value(FALLBACK_COUNTER)
-    payload = json.dumps(
-        {"state": classifier.export_state(), "stats": stats},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16], fallbacks
-
-
-def verify_sharded_vs_serial(
-    config: str, path: str, worker_counts: "tuple[int, ...]"
-) -> dict:
-    """Require the sharded decode to match serial at every worker count."""
-    serial_print, _ = classify_fingerprint(path)
-    for workers in worker_counts:
-        sharded_print, fallbacks = classify_fingerprint(path, workers=workers)
-        match = sharded_print == serial_print and fallbacks == 0
-        print(
-            f"{config}: sharded workers={workers} {sharded_print}"
-            f" vs serial {serial_print} ({fallbacks} fallback(s)) ->"
-            f" {'IDENTICAL' if match else 'MISMATCH'}"
-        )
-        if not match:
-            raise SystemExit(
-                f"verification failure on {config}: sharded decode at"
-                f" workers={workers} diverged from serial (sharded"
-                f" {sharded_print} vs serial {serial_print},"
-                f" {fallbacks} fallback(s))"
-            )
-    return {
-        "sharded_fingerprint": serial_print,
-        "sharded_verified_workers": [int(count) for count in worker_counts],
-    }
-
-
-def measure_parallel_classify(path: str, workers: int) -> "tuple[float, int]":
-    classifier = UpdateClassifier()
-    stats: dict = {}
-    started = time.perf_counter()
-    observations = replay_mrt(
-        path, classifier, collector="bench", stats=stats, workers=workers
-    )
-    elapsed = time.perf_counter() - started
-    return (observations / elapsed if elapsed else 0.0, observations)
-
-
 def measure_decode_only(path: str) -> "tuple[float, int]":
     count = 0
     with open(path, "rb") as handle:
@@ -368,7 +290,6 @@ def run_config(
     config: str,
     repeat: int,
     keep_dir: "str | None",
-    worker_counts: "tuple[int, ...]",
     cache_dir: "str | None",
     refresh: bool,
 ) -> dict:
@@ -376,20 +297,11 @@ def run_config(
     archive_bytes = os.path.getsize(path)
     try:
         checks = verify_fast_vs_naive(config, path)
-        checks.update(verify_sharded_vs_serial(config, path, worker_counts))
         decode_rate, records = best_rate(measure_decode_only, path, repeat)
         classify_rate, observations = best_rate(
             measure_decode_classify, path, repeat
         )
         scenario_rate, _ = best_rate(measure_scenario, path, repeat)
-        curve = {}
-        for workers in worker_counts:
-            rate, _ = best_rate(
-                lambda p, w=workers: measure_parallel_classify(p, w),
-                path,
-                repeat,
-            )
-            curve[str(workers)] = round(rate, 1)
     finally:
         if cleanup:
             try:
@@ -404,18 +316,13 @@ def run_config(
         "decode_only_records_per_sec": round(decode_rate, 1),
         "decode_classify_obs_per_sec": round(classify_rate, 1),
         "scenario_obs_per_sec": round(scenario_rate, 1),
-        "parallel_decode_classify_obs_per_sec": curve,
         "cpu_count": os.cpu_count(),
     }
     result.update(checks)
-    curve_text = ", ".join(
-        f"{workers}w {rate:,.0f}" for workers, rate in curve.items()
-    )
     print(
         f"{config}: decode {decode_rate:,.0f} rec/s,"
         f" decode+classify {classify_rate:,.0f} obs/s,"
-        f" scenario {scenario_rate:,.0f} obs/s,"
-        f" parallel [{curve_text}] obs/s"
+        f" scenario {scenario_rate:,.0f} obs/s"
         f" ({records} records)"
     )
     return result
@@ -460,18 +367,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--verify",
         action="store_true",
-        help="equivalence checks only (fast-vs-naive and"
-        " sharded-vs-serial); no timing, no report written",
-    )
-    parser.add_argument(
-        "--workers",
-        default=None,
-        metavar="CSV",
-        help=f"comma-separated worker counts for the sharded verify and"
-        f" scaling curve (default:"
-        f" {','.join(str(count) for count in DEFAULT_WORKER_COUNTS)};"
-        f" quick default:"
-        f" {','.join(str(count) for count in QUICK_WORKER_COUNTS)})",
+        help="equivalence check only (fast-vs-naive); no timing, no"
+        " report written",
     )
     parser.add_argument(
         "--archive-cache",
@@ -547,22 +444,6 @@ def main(argv=None) -> int:
         scenarios = DEFAULT_SCENARIOS
     repeat = 1 if args.quick else args.repeat
 
-    if args.workers:
-        try:
-            worker_counts = tuple(
-                int(part.strip())
-                for part in args.workers.split(",")
-                if part.strip()
-            )
-        except ValueError:
-            parser.error(f"--workers must be a CSV of integers, got"
-                         f" {args.workers!r}")
-        if not worker_counts or any(count < 1 for count in worker_counts):
-            parser.error("--workers counts must be integers >= 1")
-    elif args.quick:
-        worker_counts = QUICK_WORKER_COUNTS
-    else:
-        worker_counts = DEFAULT_WORKER_COUNTS
     cache_dir = None if args.no_archive_cache else args.archive_cache
 
     if args.verify:
@@ -572,7 +453,6 @@ def main(argv=None) -> int:
             )
             try:
                 verify_fast_vs_naive(config, path)
-                verify_sharded_vs_serial(config, path, worker_counts)
             finally:
                 if cleanup:
                     try:
@@ -584,7 +464,7 @@ def main(argv=None) -> int:
 
     runs = [
         run_config(
-            config, repeat, args.keep_archive, worker_counts, cache_dir,
+            config, repeat, args.keep_archive, cache_dir,
             args.refresh_archives,
         )
         for config in scenarios

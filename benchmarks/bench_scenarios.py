@@ -1,17 +1,14 @@
 """Scenario engine throughput across execution backends.
 
 Times the same 4-seed sweep (the ``topology-tiny`` scenario) through
-every execution backend — ``serial``, ``threads``, ``processes``,
-``queue`` — plus the ``processes`` backend against a cold and a warm
-spec-hash cache.  Simulations are pure-Python CPU-bound work, so on
-multi-core hosts ``processes`` should approach ``cores``-fold
-speed-up over ``serial`` while ``threads`` stays near 1x (the GIL
-serializes it; the threads backend earns its keep on I/O-bound
-``mrt`` cells instead) and a single ``queue`` invocation tracks
-``serial`` plus the per-cell claim/done file round trip (its
-parallelism comes from running N invocations).  Regressions in the
-pool fan-out or the queue's filesystem protocol show up as shrinking
-ratios.
+every execution backend — ``serial``, ``processes``, ``queue`` —
+plus the ``processes`` backend against a cold and a warm spec-hash
+cache.  Simulations are pure-Python CPU-bound work, so on multi-core
+hosts ``processes`` should approach ``cores``-fold speed-up over
+``serial``, and a single ``queue`` invocation tracks ``serial`` plus
+the per-cell claim/done file round trip (its parallelism comes from
+running N invocations).  Regressions in the pool fan-out or the
+queue's filesystem protocol show up as shrinking ratios.
 
 Also asserts the backend contract end to end: every backend produces
 identical results for identical specs, and a warm cache serves the
@@ -35,9 +32,6 @@ def test_bench_scenario_sweep_backends(benchmark, tmp_path):
 
     def timed_sweeps():
         serial = run_sweep(sweep_specs(), workers=1, backend="serial")
-        threads = run_sweep(
-            sweep_specs(), workers=all_cores, backend="threads"
-        )
         processes = run_sweep(
             sweep_specs(), workers=all_cores, backend="processes"
         )
@@ -57,9 +51,9 @@ def test_bench_scenario_sweep_backends(benchmark, tmp_path):
             backend="processes",
             cache_dir=str(tmp_path / "cache"),
         )
-        return serial, threads, processes, queue, cold, warm
+        return serial, processes, queue, cold, warm
 
-    serial, threads, processes, queue, cold, warm = benchmark.pedantic(
+    serial, processes, queue, cold, warm = benchmark.pedantic(
         timed_sweeps, rounds=1, iterations=1
     )
     speedup = (
@@ -76,7 +70,6 @@ def test_bench_scenario_sweep_backends(benchmark, tmp_path):
         )
         for report, cache in (
             (serial, "off"),
-            (threads, "off"),
             (processes, "off"),
             (queue, "off"),
             (cold, "cold"),
@@ -95,7 +88,7 @@ def test_bench_scenario_sweep_backends(benchmark, tmp_path):
         )
     )
     # Identical specs => identical results, whatever backend ran them.
-    for report in (threads, processes, queue, cold):
+    for report in (processes, queue, cold):
         assert len(report.results) == len(serial.results)
         assert not report.failures
         for left, right in zip(serial.results, report.results):

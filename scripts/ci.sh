@@ -46,7 +46,7 @@ python -m repro scenario sweep topology-tiny --seeds 1,2 --workers 2 \
 
 echo
 echo "== smoke: every execution backend =="
-for BACKEND in serial threads processes; do
+for BACKEND in serial processes; do
     python -m repro scenario sweep topology-tiny --seeds 1,2 --workers 2 \
         --backend "$BACKEND" --cache-dir "$CACHE_DIR/backend-$BACKEND"
 done
@@ -176,13 +176,10 @@ echo
 echo "== smoke: read-path benchmark (verify + baseline floor) =="
 # Every bench_analysis run decodes the archive twice — memo caches on
 # and off — and requires bit-identical fingerprints and classification
-# counts; --workers 2 additionally requires the parallel sharded
-# decode to fingerprint identically to the serial pass with zero
-# fallbacks.  The floor asserts decode+classify is no worse than the
+# counts.  The floor asserts decode+classify is no worse than the
 # recorded pre-overhaul baseline (the overhauled path runs at ~4x, so
 # 1.0 leaves plenty of headroom for shared-box noise).
 python benchmarks/bench_analysis.py --quick --min-throughput-ratio 1.0 \
-    --workers 2 \
     --baseline BENCH_analysis.json \
     --output "$CACHE_DIR/BENCH_analysis.json"
 

@@ -144,14 +144,6 @@ class TypeCounts:
         else:
             self.unclassified_first += 1
 
-    def merge(self, other: "TypeCounts") -> "TypeCounts":
-        """Accumulate *other* into self (returns self for chaining)."""
-        for kind, value in other.counts.items():
-            self.counts[kind] += value
-        self.unclassified_first += other.unclassified_first
-        self.withdrawals += other.withdrawals
-        return self
-
     @property
     def classified_total(self) -> int:
         """Announcements that received a type."""
@@ -186,23 +178,6 @@ class TypeCounts:
             for kind in TYPE_ORDER
         ]
 
-    def to_dict(self) -> dict:
-        """JSON-serializable form for the sharded-decode protocol."""
-        return {
-            "counts": {kind.value: self.counts[kind] for kind in TYPE_ORDER},
-            "unclassified_first": self.unclassified_first,
-            "withdrawals": self.withdrawals,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TypeCounts":
-        counts = cls()
-        for kind in TYPE_ORDER:
-            counts.counts[kind] = int(data["counts"].get(kind.value, 0))
-        counts.unclassified_first = int(data["unclassified_first"])
-        counts.withdrawals = int(data["withdrawals"])
-        return counts
-
 
 class UpdateClassifier:
     """Stateful per-stream classifier.
@@ -211,10 +186,6 @@ class UpdateClassifier:
     classifier keeps the last-seen announcement state per
     (session, prefix) stream and emits a type per announcement.
     """
-
-    #: Sharded-decode job protocol tag; the parallel replay layer
-    #: rebuilds a fresh classifier per shard from this name.
-    shard_sink_kind = "classifier"
 
     def __init__(self):
         self._last_state: Dict[tuple, "tuple[Optional[ASPath], CommunitySet]"] = {}
@@ -304,22 +275,6 @@ class UpdateClassifier:
 
     def close(self) -> None:
         """Sink hook; classification state needs no finalization."""
-
-    # ------------------------------------------------------------------
-    # sharded-decode merge protocol
-    # ------------------------------------------------------------------
-    def export_state(self) -> dict:
-        """Serialize the mergeable classification state as JSON data.
-
-        Only the counts travel: the per-stream ``_last_state`` never
-        needs to cross shards because the shard planner keeps every
-        (session, prefix) stream whole within one shard.
-        """
-        return {"counts": self.counts.to_dict()}
-
-    def merge_state(self, state: dict) -> None:
-        """Accumulate one shard's exported state, in shard order."""
-        self.counts.merge(TypeCounts.from_dict(state["counts"]))
 
 
 def classify_observations(

@@ -85,9 +85,6 @@ class DuplicateAttributor:
     #: is treated as a post-reset re-announcement.
     RESET_WINDOW = 120.0
 
-    #: Sharded-decode job protocol tag (see :mod:`repro.pipeline.parallel`).
-    shard_sink_kind = "attributor"
-
     def __init__(self, schedule: "BeaconSchedule | None" = None):
         self._schedule = schedule or BeaconSchedule()
         self._classifier = UpdateClassifier()
@@ -129,34 +126,6 @@ class DuplicateAttributor:
 
     def close(self) -> None:
         """Sink hook; attribution state needs no finalization."""
-
-    # ------------------------------------------------------------------
-    # sharded-decode merge protocol
-    # ------------------------------------------------------------------
-    def export_state(self) -> dict:
-        """Serialize the mergeable attribution state as JSON data.
-
-        Per-stream dicts (`_last_withdrawal`, `_stream_has_communities`)
-        stay local: the shard planner keeps streams whole per shard.
-        The per-event ``attributed`` list deliberately does not travel —
-        aggregate counts are the merged product, matching what every
-        collector and report consumer reads.
-        """
-        return {
-            "classifier": self._classifier.export_state(),
-            "causes": {
-                cause.value: self.report.counts[cause]
-                for cause in DuplicateCause
-            },
-        }
-
-    def merge_state(self, state: dict) -> None:
-        """Accumulate one shard's exported state, in shard order."""
-        self._classifier.merge_state(state["classifier"])
-        for cause in DuplicateCause:
-            self.report.counts[cause] += int(
-                state["causes"].get(cause.value, 0)
-            )
 
     def _attribute(
         self, key: tuple, observation: Observation

@@ -145,16 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="MRT archive path for mrt-replay scenarios",
     )
     scenario_run.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "decode the MRT archive on N worker processes (sharded"
-            " by session, merged bit-identically; mrt scenarios only)"
-        ),
-    )
-    scenario_run.add_argument(
         "--json",
         action="store_true",
         help="emit the full result as JSON instead of tables",
@@ -230,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scenario_sweep.add_argument(
         "--backend",
-        choices=("serial", "threads", "processes", "queue"),
+        choices=("serial", "processes", "queue"),
         default="processes",
         help="execution backend for cache misses (default: processes)",
     )
@@ -278,8 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help=(
             "wall-clock budget per cell; a cell running longer is"
-            " reaped (processes) or abandoned (threads), charged one"
-            " attempt, and retried while --max-retries allows"
+            " reaped, charged one attempt, and retried while"
+            " --max-retries allows"
         ),
     )
     scenario_sweep.add_argument(
@@ -545,18 +535,6 @@ def _load_run_spec(arguments) -> "tuple[object, Optional[str]]":
         spec = replace(
             spec, mrt=replace(section, path=arguments.input)
         )
-    if getattr(arguments, "workers", None) is not None:
-        from repro.scenarios import MrtSpec
-
-        if spec.kind != "mrt":
-            return None, (
-                f"--workers only applies to mrt scenarios;"
-                f" {spec.name!r} is kind {spec.kind!r}"
-            )
-        section = spec.mrt if spec.mrt is not None else MrtSpec()
-        spec = replace(
-            spec, mrt=replace(section, decode_workers=arguments.workers)
-        )
     return spec, None
 
 
@@ -644,25 +622,6 @@ def _scenario_run(arguments) -> int:
             f"\nmrt reader: {stats.get('records', 0)} records decoded,"
             f" {stats.get('skipped_records', 0)} skipped (unmodeled"
             f" type), {stats.get('error_records', 0)} damaged-dropped"
-        )
-    if result.shard_stats:
-        rows = [
-            (
-                str(row.get("shard", index)),
-                f"{row.get('records', 0):,}",
-                f"{row.get('observations', 0):,}",
-                f"{row.get('skipped_records', 0):,}",
-                f"{row.get('error_records', 0):,}",
-            )
-            for index, row in enumerate(result.shard_stats)
-        ]
-        _emit()
-        _emit(
-            render_table(
-                ("shard", "records", "observations", "skipped", "errors"),
-                rows,
-                title="Parallel decode shards",
-            )
         )
     for name, path in sorted(result.spill_paths.items()):
         _emit(f"\nspilled archive [{name}]: {path}")

@@ -99,8 +99,6 @@ def replay_mrt(
     tolerant: bool = True,
     close_sink: bool = False,
     stats: "Optional[Dict[str, int]]" = None,
-    workers: "Optional[int]" = None,
-    shard_stats: "Optional[list]" = None,
 ) -> int:
     """Pump an MRT archive through *sink* as observations.
 
@@ -113,38 +111,7 @@ def replay_mrt(
     drops), ``messages`` and ``observations`` — so callers can surface
     what the reader silently stepped over.  The dict is populated even
     when the sink stops the pipeline early.
-
-    *workers* requests the sharded parallel decode: the archive is
-    partitioned by session, shards decode+classify on a process pool,
-    and per-shard sink state merges back in shard order — proven
-    byte-identical to the serial pass.  It engages only when *source*
-    is a path and *sink* speaks the merge protocol (see
-    :mod:`repro.pipeline.parallel`); anything else — including damage
-    the index pass cannot attribute, or a dying worker — degrades to
-    this very serial path with the ``mrt.shard.fallback`` counter
-    ticked.  *shard_stats*, when a list, receives one per-shard
-    reader-stats row on a successful parallel run.
     """
-    if workers is not None and isinstance(source, (str, bytes)):
-        from repro.pipeline import parallel
-
-        sink_spec = parallel.sink_spec_for(sink)
-        if sink_spec is not None:
-            replies = parallel.try_sharded_replay(
-                source,
-                workers=workers,
-                sink_spec=sink_spec,
-                collector=collector,
-                tolerant=tolerant,
-            )
-            if replies is not None:
-                totals = parallel.merge_replies(
-                    sink, replies, stats=stats, shard_stats=shard_stats
-                )
-                if close_sink:
-                    sink.close()
-                return totals["observations"]
-
     from repro.mrt.reader import MRTReader
 
     stream = ObservationStream(sink)

@@ -21,10 +21,10 @@ declarative contract and one engine:
   community prevalence, duplicate rates, Table 1/2, damping replay,
   lab matrix);
 * :mod:`repro.scenarios.backends` — pluggable sweep execution
-  backends (``serial`` / ``threads`` / ``processes`` / ``sharded`` /
-  ``queue``) behind one :class:`ExecutionBackend` interface;
+  backends (``serial`` / ``processes`` / ``sharded`` / ``queue``)
+  behind one :class:`ExecutionBackend` interface;
 * :mod:`repro.scenarios.scheduler` — fault-tolerant pool scheduling
-  for the executor backends: crash containment with pool rebuilds and
+  for the process backend: crash containment with pool rebuilds and
   isolation, per-cell wall-clock timeouts, deterministic retry
   backoff and speculative re-dispatch of stragglers;
 * :mod:`repro.scenarios.runner` — a fault-tolerant, resumable sweep
@@ -59,7 +59,6 @@ from repro.scenarios.backends import (
     SerialBackend,
     ShardedBackend,
     SweepJob,
-    ThreadBackend,
     backoff_delay,
     make_backend,
     parse_shard,
@@ -130,7 +129,6 @@ __all__ = [
     "SerialBackend",
     "ShardedBackend",
     "SweepJob",
-    "ThreadBackend",
     "backoff_delay",
     "make_backend",
     "parse_shard",

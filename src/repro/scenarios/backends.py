@@ -11,13 +11,6 @@ implementations:
     reference implementation the determinism suite measures the other
     backends against.
 
-``threads``
-    A ``ThreadPoolExecutor``.  Simulations are pure-Python CPU-bound
-    work, so threads buy nothing for the classic kinds — but ``mrt``
-    replay cells spend their time in file I/O and future remote
-    sources will spend it on sockets, and those overlap fine under
-    the GIL.
-
 ``processes``
     A ``ProcessPoolExecutor`` — the original behavior, refactored
     onto the interface.  The right default for CPU-bound sweeps.
@@ -40,8 +33,8 @@ implementations:
     the matrix dynamically, each cell computed exactly once, with no
     coordinator process.  The first rung of the remote backend.
 
-The two pool backends do not drive their executors directly: they
-hand the batch to :class:`repro.scenarios.scheduler.PoolScheduler`,
+The process backend does not drive its executor directly: it hands
+the batch to :class:`repro.scenarios.scheduler.PoolScheduler`,
 which contains worker crashes (one dead worker no longer fails the
 whole batch), enforces per-cell wall-clock timeouts, and can
 speculatively re-dispatch straggler cells.
@@ -65,10 +58,7 @@ import os
 import time
 import traceback as traceback_module
 from abc import ABC, abstractmethod
-from concurrent.futures import (
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -78,7 +68,7 @@ from repro.scenarios.engine import run_scenario_json
 
 #: Names accepted by :func:`make_backend` (``sharded`` additionally
 #: needs a ``shard=(index, count)``; ``queue`` needs a ``queue_dir``).
-BACKEND_NAMES = ("serial", "threads", "processes", "sharded", "queue")
+BACKEND_NAMES = ("serial", "processes", "sharded", "queue")
 
 #: Ceiling on any single retry-backoff sleep, seconds.
 BACKOFF_CAP = 30.0
@@ -297,29 +287,10 @@ class ExecutionBackend(ABC):
         the cache and manifest so a killed sweep loses at most the
         cells that were mid-flight.  ``scheduling`` is an optional
         :class:`repro.scenarios.scheduler.SchedulerConfig`; backends
-        honor the knobs they can (pools: timeouts, rebuild budget,
+        honor the knobs they can (processes: timeouts, rebuild budget,
         speculation; serial and queue: the retry backoff) and ignore
         the rest.
         """
-
-    def map_json(
-        self,
-        task: "Callable[[str], str]",
-        payloads: "Sequence[str]",
-        *,
-        workers: int = 1,
-    ) -> "List[str]":
-        """Apply a JSON-string task to every payload, in payload order.
-
-        The light sibling of :meth:`run_jobs` for the parallel MRT
-        decode: same strings-only contract (*task* must be a picklable
-        module-level function taking and returning JSON text), but no
-        retry/outcome machinery — callers that fan decode shards out
-        handle failure by falling back to serial, so a raising worker
-        simply propagates.  The base implementation is the in-process
-        serial loop; pool backends override it.
-        """
-        return [task(payload) for payload in payloads]
 
 
 class SerialBackend(ExecutionBackend):
@@ -349,8 +320,8 @@ class SerialBackend(ExecutionBackend):
         return outcomes
 
 
-class _PoolBackend(ExecutionBackend):
-    """Shared scheduling front end for the two executor-pool backends.
+class ProcessBackend(ExecutionBackend):
+    """Process pool — the CPU-bound default (the original behavior).
 
     Execution is delegated to
     :class:`repro.scenarios.scheduler.PoolScheduler`, which contains
@@ -360,12 +331,7 @@ class _PoolBackend(ExecutionBackend):
     stragglers.  Outcomes come back in original job order.
     """
 
-    #: Whether a stuck worker can actually be killed (processes) or
-    #: only abandoned (threads).
-    reapable = False
-
-    def _make_pool(self, workers: int):
-        raise NotImplementedError
+    name = "processes"
 
     def run_jobs(
         self, jobs, *, workers=1, max_retries=0, on_outcome=None,
@@ -384,52 +350,22 @@ class _PoolBackend(ExecutionBackend):
             and not config.speculate
         ):
             # One lane with no scheduling to do is just the serial
-            # loop; skip the pool overhead (and, for processes, the
-            # fork) entirely.  The determinism suite pins that this
-            # shortcut changes no payload byte.
+            # loop; skip the pool overhead (and the fork) entirely.
+            # The determinism suite pins that this shortcut changes no
+            # payload byte.
             return SerialBackend().run_jobs(
                 jobs, max_retries=max_retries, on_outcome=on_outcome,
                 scheduling=scheduling,
             )
         scheduler = PoolScheduler(
-            make_pool=self._make_pool,
-            reapable=self.reapable,
+            make_pool=ProcessPoolExecutor,
+            reapable=True,
             workers=min(workers, len(jobs)),
             max_retries=max_retries,
             on_outcome=on_outcome,
             config=config,
         )
         return scheduler.run(jobs)
-
-    def map_json(self, task, payloads, *, workers=1):
-        if workers <= 1 or len(payloads) <= 1:
-            # Mirror run_jobs' one-lane shortcut: skip the pool (and
-            # for processes, the fork) when it cannot buy parallelism.
-            return [task(payload) for payload in payloads]
-        with self._make_pool(min(workers, len(payloads))) as pool:
-            # Executor.map preserves payload order, so replies line up
-            # with their shards no matter which worker finished first.
-            return list(pool.map(task, payloads))
-
-
-class ThreadBackend(_PoolBackend):
-    """Thread pool — for I/O-bound cells (mrt replay, remote feeds)."""
-
-    name = "threads"
-    reapable = False
-
-    def _make_pool(self, workers: int):
-        return ThreadPoolExecutor(max_workers=workers)
-
-
-class ProcessBackend(_PoolBackend):
-    """Process pool — the CPU-bound default (the original behavior)."""
-
-    name = "processes"
-    reapable = True
-
-    def _make_pool(self, workers: int):
-        return ProcessPoolExecutor(max_workers=workers)
 
 
 def shard_of(digest: str, shard_count: int) -> int:
@@ -485,11 +421,6 @@ class ShardedBackend(ExecutionBackend):
             on_outcome=on_outcome,
             scheduling=scheduling,
         )
-
-    def map_json(self, task, payloads, *, workers=1):
-        # Decode shards are not sweep cells: the partition is already
-        # decided by the shard plan, so delegate execution untouched.
-        return self.inner.map_json(task, payloads, workers=workers)
 
 
 class QueueBackend(ExecutionBackend):
@@ -842,7 +773,6 @@ def parse_shard(text: str) -> "Tuple[int, int]":
 
 _FACTORIES: "Dict[str, Callable[[], ExecutionBackend]]" = {
     "serial": SerialBackend,
-    "threads": ThreadBackend,
     "processes": ProcessBackend,
 }
 
@@ -863,7 +793,7 @@ def make_backend(
 
     ``None`` means the default (``processes``).  ``shard=(i, n)``
     wraps whatever was chosen in a :class:`ShardedBackend`, so
-    ``--backend threads --shard 1/4`` composes the way you'd hope.
+    ``--backend serial --shard 1/4`` composes the way you'd hope.
     ``queue`` needs *queue_dir*, the shared work directory the
     cooperating invocations drain; ``stale_claim_seconds`` tunes its
     requeue threshold (``None`` disables requeue; unspecified keeps

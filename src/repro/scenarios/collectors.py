@@ -4,7 +4,7 @@ Mirrors the ``CollectorProxy`` shape of simulation frameworks like
 Icarus: the engine owns one :class:`CollectorProxy` that fans every
 event out to the collectors the spec named, and each collector distils
 its own slice of the run into a plain JSON-friendly ``dict``.  Keeping
-results as plain data is what makes the parallel runner's caching and
+results as plain data is what makes the sweep runner's caching and
 cross-process determinism checks trivial.
 
 Two event streams exist:
@@ -16,8 +16,7 @@ Two event streams exist:
 
 The proxy is the run's one §5 classification point: it types each
 observation once and hands that type to every collector with the
-observation.  Each collector counts it into its own state, which keeps
-the sharded-decode export/merge per collector.
+observation, and each collector counts it into its own state.
 
 A collector implements whichever hooks it cares about; unused hooks
 are no-ops, so a `"table2"` collector silently collects nothing on a
@@ -34,10 +33,7 @@ from repro.analysis.classify import (
     TypeCounts,
     UpdateClassifier,
 )
-from repro.analysis.observations import Observation, SessionKey
-from repro.bgp.aspath import ASPath, PathSegment, SegmentType
-from repro.bgp.community import Community
-from repro.netbase.prefix import Prefix
+from repro.analysis.observations import Observation
 
 
 class ScenarioContext:
@@ -64,13 +60,6 @@ class MetricCollector:
 
     #: Registry key; subclasses must set it.
     name: str = ""
-
-    #: Collectors that can export their state as JSON data and fold in
-    #: other instances' exports set this True; the parallel MRT decode
-    #: path only engages when every requested collector supports it.
-    #: A mergeable collector must guarantee shard-merge == serial given
-    #: that every (session, prefix) stream lives wholly in one shard.
-    supports_merge = False
 
     def start(self, context: ScenarioContext) -> None:
         """Called once before any event is delivered."""
@@ -101,18 +90,6 @@ class MetricCollector:
         """
         return self.finish()
 
-    def export_state(self) -> dict:
-        """Mergeable state as JSON data (``supports_merge`` only)."""
-        raise NotImplementedError(
-            f"collector {self.name!r} does not support sharded merge"
-        )
-
-    def merge_state(self, state: dict) -> None:
-        """Fold one shard's exported state in (``supports_merge`` only)."""
-        raise NotImplementedError(
-            f"collector {self.name!r} does not support sharded merge"
-        )
-
 
 class CollectorProxy:
     """Fans events out to every attached collector.
@@ -121,10 +98,6 @@ class CollectorProxy:
     :meth:`observe`, so the engine can terminate a live observation
     stream with the proxy itself.
     """
-
-    #: Sharded-decode job protocol tag: workers rebuild the proxy from
-    #: the collector names (see :mod:`repro.pipeline.parallel`).
-    shard_sink_kind = "collectors"
 
     def __init__(self, collectors: "Iterable[MetricCollector]"):
         self.collectors: "List[MetricCollector]" = list(collectors)
@@ -166,24 +139,6 @@ class CollectorProxy:
 
     def close(self) -> None:
         """Sink hook; the engine calls finish() explicitly."""
-
-    # sharded-decode merge protocol ------------------------------------
-    @property
-    def supports_merge(self) -> bool:
-        """True when every attached collector can merge shard state."""
-        return all(
-            collector.supports_merge for collector in self.collectors
-        )
-
-    def export_state(self) -> dict:
-        return {
-            collector.name: collector.export_state()
-            for collector in self.collectors
-        }
-
-    def merge_state(self, state: dict) -> None:
-        for collector in self.collectors:
-            collector.merge_state(state[collector.name])
 
 
 # ----------------------------------------------------------------------
@@ -227,8 +182,6 @@ def make_collectors(names: "Iterable[str]") -> CollectorProxy:
 class _TypeCountsCollector(MetricCollector):
     """Base for collectors that tally the proxy's §5 types."""
 
-    supports_merge = True
-
     def __init__(self):
         self._counts = TypeCounts()
 
@@ -236,12 +189,6 @@ class _TypeCountsCollector(MetricCollector):
         self, observation: Observation, kind: "Optional[AnnouncementType]"
     ) -> None:
         self._counts.tally(observation, kind)
-
-    def export_state(self) -> dict:
-        return self._counts.to_dict()
-
-    def merge_state(self, state: dict) -> None:
-        self._counts.merge(TypeCounts.from_dict(state))
 
 
 @collector
@@ -289,7 +236,6 @@ class CommunityPrevalenceCollector(MetricCollector):
     """How widespread communities are in the collected feed."""
 
     name = "community_prevalence"
-    supports_merge = True
 
     def __init__(self):
         self._announcements = 0
@@ -332,46 +278,6 @@ class CommunityPrevalenceCollector(MetricCollector):
             "unique_16bit_communities": len(self._unique_16bit()),
         }
 
-    def export_state(self) -> dict:
-        return {
-            "announcements": self._announcements,
-            "with_communities": self._with_communities,
-            "unique_16bit": sorted(self._unique_16bit()),
-        }
-
-    def merge_state(self, state: dict) -> None:
-        self._announcements += int(state["announcements"])
-        self._with_communities += int(state["with_communities"])
-        self._classic_sets.add(
-            frozenset(Community(value) for value in state["unique_16bit"])
-        )
-
-
-def _canonical_path(path: ASPath) -> tuple:
-    """A hashable, JSON-friendly form with ASPath's equality semantics.
-
-    One tuple per segment: ``(segment kind, member ASNs...)`` — members
-    sorted and deduplicated for set segments (whose equality is by
-    frozenset), kept in wire order for sequences.  Equal paths map to
-    equal tuples and distinct paths to distinct tuples, so a shard's
-    paths can travel as JSON and be rebuilt by :func:`_path_from_canonical`.
-    """
-    return tuple(
-        (int(segment.kind),)
-        + tuple(
-            sorted({int(asn) for asn in segment.asns})
-            if segment.is_set
-            else (int(asn) for asn in segment.asns)
-        )
-        for segment in path.segments
-    )
-
-
-def _path_from_canonical(canonical) -> ASPath:
-    return ASPath(
-        PathSegment(SegmentType(kind), asns) for kind, *asns in canonical
-    )
-
 
 @collector
 class Table1Collector(CommunityPrevalenceCollector):
@@ -380,10 +286,8 @@ class Table1Collector(CommunityPrevalenceCollector):
     Keeps only the distinct prefixes, sessions and AS paths — the
     interned objects the decoder hands out — so memory tracks distinct
     entities rather than feed length.  Peers, ASes and the IPv4/IPv6
-    split are derived from them when read, and only
-    :meth:`export_state` turns them into JSON data for the
-    parallel-decode merge.  The community columns are the inherited
-    prevalence counts.
+    split are derived from them when read.  The community columns are
+    the inherited prevalence counts.
     """
 
     name = "table1"
@@ -424,35 +328,6 @@ class Table1Collector(CommunityPrevalenceCollector):
             "community_share": super().finish()["community_share"],
         }
 
-    def export_state(self) -> dict:
-        state = super().export_state()
-        state.update(
-            {
-                "prefixes": sorted(str(prefix) for prefix in self._prefixes),
-                "sessions": sorted(
-                    [s.collector, int(s.peer_asn), s.peer_address]
-                    for s in self._sessions
-                ),
-                "paths": sorted(
-                    [list(segment) for segment in _canonical_path(path)]
-                    for path in self._paths
-                ),
-                "withdrawals": self._withdrawals,
-            }
-        )
-        return state
-
-    def merge_state(self, state: dict) -> None:
-        super().merge_state(state)
-        self._prefixes.update(Prefix(text) for text in state["prefixes"])
-        self._sessions.update(
-            SessionKey(*item) for item in state["sessions"]
-        )
-        self._paths.update(
-            _path_from_canonical(path) for path in state["paths"]
-        )
-        self._withdrawals += int(state["withdrawals"])
-
 
 def _shares(counts: TypeCounts) -> dict:
     return {kind.value: counts.share(kind) for kind in TYPE_ORDER}
@@ -469,12 +344,10 @@ class Table2Collector(MetricCollector):
     """
 
     name = "table2"
-    supports_merge = True
 
     def __init__(self):
         self._full = TypeCounts()
         self._beacon = TypeCounts()
-        # Empty until start(): sharded-decode workers never call it.
         self._beacon_prefixes: set = set()
 
     def start(self, context: ScenarioContext) -> None:
@@ -498,13 +371,6 @@ class Table2Collector(MetricCollector):
             ),
             "classified": self._full.classified_total,
         }
-
-    def export_state(self) -> dict:
-        return {"full": self._full.to_dict(), "beacon": self._beacon.to_dict()}
-
-    def merge_state(self, state: dict) -> None:
-        self._full.merge(TypeCounts.from_dict(state["full"]))
-        self._beacon.merge(TypeCounts.from_dict(state["beacon"]))
 
 
 @collector

@@ -94,11 +94,6 @@ class ScenarioResult:
     #: tolerant-mode drops are visible in the result instead of silent.
     #: Empty for non-mrt scenario kinds.
     reader_stats: "Dict[str, int]" = field(default_factory=dict)
-    #: Per-shard reader stats for runs that took the parallel decode
-    #: path (``mrt.decode_workers``): one row per shard, in shard
-    #: order, each the shard's ``reader_stats`` plus its ``shard``
-    #: index.  Empty for serial runs and non-mrt kinds.
-    shard_stats: "List[dict]" = field(default_factory=list)
     #: Instrumentation snapshot (phase wall times, counters, gauges,
     #: memo hit/miss/evict rates) — populated only when the metrics
     #: registry is enabled for the run, *always* empty in sweep worker
@@ -142,22 +137,6 @@ class _MetricsPump(SinkBase):
             heartbeat_every = DEFAULT_HEARTBEAT_EVERY
         self._heartbeat_every = heartbeat_every
         self._started = time.perf_counter()
-
-    @property
-    def passive(self) -> bool:
-        """True when :meth:`push` does nothing beyond proxy fan-out.
-
-        The sharded MRT decode bypasses the pump entirely (workers
-        feed fresh sinks; the coordinator merges states), so it may
-        only engage when no per-observation hook — early stop,
-        snapshots, journal heartbeats — would be silently skipped.
-        """
-        return (
-            self._early_stop is None
-            and not self._snapshot_every
-            and self._journal is None
-            and self._on_heartbeat is None
-        )
 
     def _heartbeat(self, count: int) -> None:
         from repro.obs.journal import peak_rss_kb
@@ -237,11 +216,10 @@ def run_scenario(
     stopped = False
     spill_paths: "Dict[str, str]" = {}
     reader_stats: "Dict[str, int]" = {}
-    shard_stats: "List[dict]" = []
     if spec.kind == "lab":
         _run_lab(spec, proxy)
     elif spec.kind == "mrt":
-        stopped = _run_mrt(spec, proxy, pump, reader_stats, shard_stats)
+        stopped = _run_mrt(spec, proxy, pump, reader_stats)
     else:
         stopped = _run_internet(spec, proxy, pump, spill_paths)
     with obs_metrics.phase("scenario.analyze"):
@@ -270,7 +248,6 @@ def run_scenario(
         stopped_early=stopped,
         spill_paths=spill_paths,
         reader_stats=reader_stats,
-        shard_stats=shard_stats,
         metrics_report=report,
     )
 
@@ -280,7 +257,7 @@ def run_scenario_json(
 ) -> str:
     """Worker entry point for the execution backends: JSON in, JSON out.
 
-    Every backend — inline, thread pool, process pool — funnels sweep
+    Every backend — inline, process pool, work queue — funnels sweep
     cells through this one function, so the spec/result JSON text is
     the *entire* contract between coordinator and worker.  That keeps
     the multiprocessing surface to two strings and turns determinism
@@ -467,7 +444,6 @@ def _run_mrt(
     proxy: CollectorProxy,
     pump: _MetricsPump,
     reader_stats: "Dict[str, int]",
-    shard_stats: "List[dict]",
 ) -> bool:
     from repro.pipeline.stream import replay_mrt
 
@@ -487,26 +463,6 @@ def _run_mrt(
         raise ScenarioValidationError(
             spec.name, [f"cannot open mrt archive {section.path!r}: {exc}"]
         ) from None
-    workers = section.decode_workers
-    if workers is not None and pump.passive and proxy.supports_merge:
-        # Sharded parallel decode.  Workers feed fresh per-shard sinks
-        # and the proxy merges their states, so the pump is bypassed —
-        # legal exactly because it is passive.  Damage, a dying pool or
-        # a failing shard degrade to the serial loop *inside*
-        # replay_mrt (fallback counter ticked), feeding this same
-        # proxy, so either way the collectors end up byte-identical.
-        handle.close()
-        with obs_metrics.phase("mrt.replay"):
-            proxy.observed = replay_mrt(
-                section.path,
-                proxy,
-                collector=section.collector,
-                tolerant=section.tolerant,
-                stats=reader_stats,
-                workers=workers,
-                shard_stats=shard_stats,
-            )
-        return False
     stopped = False
     with handle:
         try:

@@ -4,7 +4,7 @@ A sweep is just a list of specs — typically one scenario expanded over
 N seeds (:func:`expand_seeds`) or several registry entries.  The
 runner keys a JSON result cache on the stable spec hash, farms the
 misses out to an :class:`~repro.scenarios.backends.ExecutionBackend`
-(serial / threads / processes / sharded — see
+(serial / processes / sharded / queue — see
 :mod:`repro.scenarios.backends`), and reports what happened in a
 :class:`SweepReport`.
 
@@ -65,9 +65,11 @@ from repro.scenarios.spec import ScenarioSpec
 #: instead of silently served as current numbers.
 #: v2: mrt-replay results gained ``reader_stats``; a v1 entry would
 #: replay byte-different from a fresh computation.
-#: v3: results gained ``shard_stats`` (parallel sharded decode) and
-#: ``MrtSpec`` gained ``decode_workers``; entries written by a v2
-#: toolkit would replay byte-different for sharded runs.
+#: v3: results gained per-shard decode stats and ``MrtSpec`` a decode
+#: worker count; entries written by a v2 toolkit would replay
+#: byte-different for sharded runs.
+#: Kept at v3 when the sharded decode and both fields went: no
+#: reachable entry carried either, so none replays different bytes.
 CACHE_VERSION = "v3"
 
 #: Static fingerprint of the serialized result schema — the payload
@@ -78,7 +80,7 @@ CACHE_VERSION = "v3"
 #: together.  When that check fires: decide whether replayed bytes
 #: change, bump :data:`CACHE_VERSION` if they do, and paste the
 #: computed value from the finding message here.
-CACHE_SCHEMA_FINGERPRINT = "b4ee7e79478f"
+CACHE_SCHEMA_FINGERPRINT = "1661e2e1e70e"
 
 #: Manifest filename inside the cache dir, and its schema version.
 #: Note: per-cell ``attempts``/``started_at``/``finished_at`` keys were

@@ -166,8 +166,6 @@ def result_to_dict(result) -> "Dict[str, Any]":
         payload["spill_paths"] = dict(result.spill_paths)
     if getattr(result, "reader_stats", None):
         payload["reader_stats"] = dict(result.reader_stats)
-    if getattr(result, "shard_stats", None):
-        payload["shard_stats"] = _plain(result.shard_stats)
     if getattr(result, "metrics_report", None):
         payload["metrics_report"] = _plain(result.metrics_report)
     return payload
@@ -186,7 +184,6 @@ def result_from_dict(data: "Dict[str, Any]"):
         stopped_early=bool(data.get("stopped_early", False)),
         spill_paths=dict(data.get("spill_paths", {})),
         reader_stats=dict(data.get("reader_stats", {})),
-        shard_stats=list(data.get("shard_stats", [])),
         metrics_report=dict(data.get("metrics_report", {})),
     )
 

@@ -136,11 +136,6 @@ class MrtSpec:
     #: occasional damage; the paper's pipeline drops rather than
     #: crashes).
     tolerant: bool = True
-    #: Sharded parallel decode: number of worker processes (``None``
-    #: keeps the serial path; results are proven bit-identical either
-    #: way, so this is purely a throughput knob).  Defaulting to
-    #: ``None`` also keeps spec hashes of existing scenarios stable.
-    decode_workers: "Optional[int]" = None
 
 
 @dataclass(frozen=True)
@@ -374,15 +369,6 @@ class ScenarioSpec:
         if not isinstance(mrt.tolerant, bool):
             errors.append(
                 f"mrt.tolerant must be a boolean, got {mrt.tolerant!r}"
-            )
-        if mrt.decode_workers is not None and (
-            not isinstance(mrt.decode_workers, int)
-            or isinstance(mrt.decode_workers, bool)
-            or mrt.decode_workers < 1
-        ):
-            errors.append(
-                f"mrt.decode_workers must be an integer >= 1 or None,"
-                f" got {mrt.decode_workers!r}"
             )
 
     @staticmethod

@@ -196,19 +196,6 @@ class TestClassifier:
         assert counts.share(AnnouncementType.PC) == 0.0
         assert counts.classified_total == 0
 
-    def test_merge(self):
-        first = classify_observations(
-            [announce(0, "1 2"), announce(1, "1 2")]
-        )
-        second = classify_observations(
-            [announce(0, "1 2", session=SessionKey("x", 1, "a")),
-             announce(1, "1 3", session=SessionKey("x", 1, "a"))]
-        )
-        merged = first.merge(second)
-        assert merged.counts[AnnouncementType.NN] == 1
-        assert merged.counts[AnnouncementType.PN] == 1
-        assert merged.unclassified_first == 2
-
     def test_as_rows_ordering(self):
         counts = classify_observations([announce(0, "1"), announce(1, "1")])
         rows = counts.as_rows()

@@ -1,7 +1,7 @@
 """Cross-backend determinism: every backend, byte-identical payloads.
 
 The execution backends are pure transport — where a sweep cell runs
-(inline, thread, pool process, which shard) must never leak into the
+(inline, pool process, which shard) must never leak into the
 result.  This suite pins that down at the strongest level available:
 the serialized ``result_to_json`` payload, byte for byte, for the same
 spec across all four backends and across worker counts, over a smoke
@@ -22,7 +22,6 @@ from repro.scenarios import (
     SerialBackend,
     ShardedBackend,
     SweepRunner,
-    ThreadBackend,
     expand_seeds,
     get_scenario,
     result_to_json,
@@ -46,7 +45,7 @@ TINY_TOPOLOGY = dict(
 )
 
 SMOKE_KEYS = ("internet", "ablation", "lab", "mrt")
-BACKEND_KEYS = ("serial", "threads", "processes", "sharded", "queue")
+BACKEND_KEYS = ("serial", "processes", "sharded", "queue")
 
 
 @pytest.fixture(scope="module")
@@ -112,8 +111,6 @@ def smoke_spec(key: str, spilled_archive: str) -> ScenarioSpec:
 def make_smoke_backend(key: str, spec: ScenarioSpec, work_dir: str):
     if key == "serial":
         return SerialBackend()
-    if key == "threads":
-        return ThreadBackend()
     if key == "processes":
         return ProcessBackend()
     if key == "queue":
@@ -154,7 +151,7 @@ def test_payload_byte_identical_across_backends(
     )
 
 
-@pytest.mark.parametrize("backend_key", ("threads", "processes"))
+@pytest.mark.parametrize("backend_key", ("processes",))
 def test_payload_byte_identical_across_worker_counts(
     backend_key, spilled_archive
 ):

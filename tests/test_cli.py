@@ -174,6 +174,20 @@ class TestScenarioCommand:
         assert main(["scenario", "run", "--spec-file", str(path)]) == 2
         assert "unknown collector" in capsys.readouterr().err
 
+    def test_run_rejects_removed_decode_workers_flag(self, tmp_path, capsys):
+        # An MRT replay has one serial read path and no worker count.
+        path = tmp_path / "empty.mrt"
+        path.write_bytes(b"")
+        with pytest.raises(SystemExit) as info:
+            main(
+                [
+                    "scenario", "run", "mrt-replay",
+                    "--input", str(path), "--workers", "2",
+                ]
+            )
+        assert info.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
     def test_run_json_output(self, capsys):
         assert main(["scenario", "run", "lab-junos", "--json"]) == 0
         import json

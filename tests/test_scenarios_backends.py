@@ -16,7 +16,6 @@ from repro.scenarios import (
     SweepFailureError,
     SweepManifest,
     SweepRunner,
-    ThreadBackend,
     expand_seeds,
     make_backend,
     parse_shard,
@@ -63,10 +62,13 @@ def failing_spec(name: str = "doomed") -> ScenarioSpec:
     )
 
 
+def dying_worker(args):
+    raise RuntimeError("worker killed mid-cell")
+
+
 class TestMakeBackend:
     def test_names_resolve(self):
         assert make_backend("serial").name == "serial"
-        assert make_backend("threads").name == "threads"
         assert make_backend("processes").name == "processes"
         assert make_backend(None).name == "processes"
 
@@ -79,10 +81,10 @@ class TestMakeBackend:
             make_backend("carrier-pigeon")
 
     def test_shard_wraps_any_backend(self):
-        backend = make_backend("threads", shard=(1, 3))
+        backend = make_backend("processes", shard=(1, 3))
         assert isinstance(backend, ShardedBackend)
         assert backend.name == "sharded"
-        assert isinstance(backend.inner, ThreadBackend)
+        assert isinstance(backend.inner, ProcessBackend)
 
     def test_sharded_name_needs_shard(self):
         with pytest.raises(ValueError, match="sharded"):
@@ -148,7 +150,7 @@ class TestShardPartition:
 
 
 class TestFaultTolerance:
-    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize("backend", ["serial", "processes"])
     def test_failing_cell_does_not_abort_the_sweep(self, backend):
         specs = [tiny_spec(1), failing_spec(), tiny_spec(2)]
         report = run_sweep(specs, workers=2, backend=backend)
@@ -221,20 +223,16 @@ class TestFaultTolerance:
     ):
         # attempt_job never raises, so an exception out of
         # future.result() means the worker process itself died
-        # (BrokenProcessPool after a segfault/OOM kill).  The
-        # coordinator-side catch is shared by the thread and process
-        # pools; simulate the death on the threads backend where the
-        # poisoned function is visible to the pool.
+        # (BrokenProcessPool after a segfault/OOM kill).  The pool
+        # forks after the patch and pickles the entry point by name,
+        # so every worker runs the module-level dying_worker.
         import repro.scenarios.backends as backends_module
-
-        def dying_worker(args):
-            raise RuntimeError("worker killed mid-cell")
 
         monkeypatch.setattr(
             backends_module, "attempt_job", dying_worker
         )
         specs = expand_seeds(tiny_spec(), (1, 2))
-        report = run_sweep(specs, workers=2, backend="threads")
+        report = run_sweep(specs, workers=2, backend="processes")
         assert len(report.failures) == 2
         for failure in report.failures:
             assert "worker died" in failure.error

@@ -8,7 +8,6 @@ shape itself: one classifier call per observation and no collector
 buffering the feed.
 """
 
-import json
 import random
 from dataclasses import replace
 
@@ -227,33 +226,6 @@ class TestDifferentialAgainstReferenceBuilders:
     def test_no_beacons_leaves_subset_column_empty(self):
         metrics = run_proxy(("table2",), random_stream(3)).finish()
         assert metrics["table2"]["beacon_shares"] is None
-
-
-class TestShardMerge:
-    def test_start_less_proxy_observes_and_exports(self):
-        # Sharded-decode workers build the proxy without start().
-        proxy = make_collectors(INTERNET_COLLECTORS)
-        for observation in random_stream(1, length=50):
-            proxy.observe(observation)
-        json.dumps(proxy.export_state())
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_merged_shards_match_serial(self, seed):
-        # Shards split by session keep every (session, prefix) stream
-        # whole, as the shard planner does.  No beacons, as in replays.
-        observations = random_stream(seed)
-        serial = run_proxy(INTERNET_COLLECTORS, observations).finish()
-        merged = make_collectors(INTERNET_COLLECTORS)
-        merged.start(ScenarioContext(None))
-        for shard in (SESSIONS[:1], SESSIONS[1:]):
-            worker = make_collectors(INTERNET_COLLECTORS)
-            for observation in observations:
-                if observation.session in shard:
-                    worker.observe(observation)
-            merged.merge_state(json.loads(json.dumps(worker.export_state())))
-        assert json.dumps(merged.finish(), sort_keys=True) == json.dumps(
-            serial, sort_keys=True
-        )
 
 
 class TestDampingReplayPinned:

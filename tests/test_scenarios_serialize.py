@@ -66,6 +66,21 @@ class TestSpecRoundTrip:
                 }
             )
 
+    def test_removed_decode_workers_field_rejected(self):
+        # Older specs may carry the decode worker count of the deleted
+        # sharded MRT decode; they must be rejected, not half-run.
+        with pytest.raises(
+            ScenarioValidationError,
+            match="unknown mrt field 'decode_workers'",
+        ):
+            spec_from_dict(
+                {
+                    "name": "x",
+                    "kind": "mrt",
+                    "mrt": {"path": "day.mrt", "decode_workers": 2},
+                }
+            )
+
 
 class TestSpecHash:
     def test_hash_is_stable_across_processes(self):
