@@ -441,25 +441,27 @@ def _run_lab(arguments) -> int:
 
 def _run_classify(arguments) -> int:
     from repro.mrt import MRTReader
+    from repro.scenarios.engine import paused_gc
 
     try:
         handle = open(arguments.file, "rb")
     except OSError as exc:
         print(f"cannot open {arguments.file}: {exc}", file=sys.stderr)
         return 2
-    with handle:
+    with handle, paused_gc():
         reader = MRTReader(handle, tolerant=True)
         observations = list(
             observations_from_mrt(reader, arguments.collector)
         )
-    if not observations:
-        print("no update messages found", file=sys.stderr)
-        return 1
-    _print_day_tables(observations)
+        if not observations:
+            print("no update messages found", file=sys.stderr)
+            return 1
+        _print_day_tables(observations)
     return 0
 
 
 def _run_simulate(arguments) -> int:
+    from repro.scenarios.engine import paused_gc
     from repro.workloads import InternetConfig, InternetModel
 
     if arguments.scale == "small":
@@ -468,12 +470,13 @@ def _run_simulate(arguments) -> int:
         config = InternetConfig.mar20()
     if arguments.seed is not None:
         config.seed = arguments.seed
-    day = InternetModel(config).run()
-    observations = []
-    for collector in day.collectors():
-        observations.extend(observations_from_collector(collector))
-    observations.sort(key=lambda obs: obs.timestamp)
-    _print_day_tables(observations, beacons=set(day.beacon_prefixes))
+    with paused_gc():
+        day = InternetModel(config).run()
+        observations = []
+        for collector in day.collectors():
+            observations.extend(observations_from_collector(collector))
+        observations.sort(key=lambda obs: obs.timestamp)
+        _print_day_tables(observations, beacons=set(day.beacon_prefixes))
     return 0
 
 

@@ -16,6 +16,8 @@ OBS001   hot paths use only the gated no-op instrumentation helpers
 IO001    ``cli.py`` stdout flows through the designated emitters
 CACHE001 serialized result schema moves only with ``CACHE_VERSION``
 MEMO001  module-level dict caches build on ``bounded_store``
+GC001    cyclic-collector control calls live only in the one pause
+         helper (``scenarios.engine.paused_gc``)
 SYN001   every scanned file parses
 SUP001   every suppression is well-formed and gives a reason
 ======== ==========================================================

@@ -706,6 +706,79 @@ unbounded mapping takes a reasoned waiver or a non-cache name."""
                     )
 
 
+# ----------------------------------------------------------------------
+# GC001 — cyclic-collector policy outside the one pause helper
+# ----------------------------------------------------------------------
+class Gc001CollectorPolicy(Checker):
+    code = "GC001"
+    title = "cyclic-collector control call outside the pause helper"
+    explain = """\
+Every scenario run executes with CPython's cyclic collector paused
+(scenarios/engine.py's paused_gc, also used by `repro simulate` and
+`repro classify`).  That is safe only under one invariant — the hot
+layers allocate no reference cycles per event — and only while the
+pause restores the caller's state on every exit.  A second gc.disable,
+a forced gc.collect or a threshold tweak elsewhere forks that policy:
+it can leave the collector off after a run, pay a full collection
+inside a timed region, or hide a cycle leak the invariant test would
+otherwise catch.
+
+History: on the simulated days the collector spent a fifth to a third
+of each run re-scanning live RIBs while freeing nothing (README,
+Performance); the fix is one reasoned pause, so the policy must never
+grow a second home.
+
+Flagged under src/repro/: calls to gc.disable, gc.enable, gc.freeze,
+gc.unfreeze, gc.set_threshold and gc.collect (through any import
+alias).  The pause helper carries '# repro: allow(GC001) ...'
+waivers; route any other need through it."""
+
+    _POLICY_CALLS = frozenset(
+        {"disable", "enable", "freeze", "unfreeze", "set_threshold",
+         "collect"}
+    )
+
+    def check(self, module: SourceModule) -> "Iterator[Finding]":
+        if module.tree is None or not module.in_repro_package:
+            return
+        module_names: "Set[str]" = set()
+        function_names: "Dict[str, str]" = {}
+        for node in ast.walk(module.tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name == "gc":
+                        module_names.add(alias.asname or "gc")
+            elif isinstance(node, ast.ImportFrom) and node.module == "gc":
+                for alias in node.names:
+                    if alias.name in self._POLICY_CALLS:
+                        function_names[alias.asname or alias.name] = (
+                            alias.name
+                        )
+        if not module_names and not function_names:
+            return
+        for node in ast.walk(module.tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = None
+            if (
+                isinstance(func, ast.Attribute)
+                and func.attr in self._POLICY_CALLS
+                and isinstance(func.value, ast.Name)
+                and func.value.id in module_names
+            ):
+                name = func.attr
+            elif isinstance(func, ast.Name) and func.id in function_names:
+                name = function_names[func.id]
+            if name is not None:
+                yield module.finding(
+                    self.code,
+                    node,
+                    f"gc.{name}() forks the collector policy; run the"
+                    " work under scenarios.engine.paused_gc instead",
+                )
+
+
 def _module_dict_name(node) -> "Optional[str]":
     """The name of a module-level ``NAME = {}``/``dict()`` binding."""
     if isinstance(node, ast.Assign):
@@ -861,6 +934,7 @@ ALL_CHECKERS: "Tuple[Checker, ...]" = (
     Io001StdoutDiscipline(),
     Cache001SchemaFingerprint(),
     Memo001UnboundedCache(),
+    Gc001CollectorPolicy(),
     Dur001DurableWrite(),
     Syn001SyntaxError(),
     Sup001MalformedSuppression(),

@@ -28,12 +28,17 @@ two hooks become possible:
 * ``snapshot_every`` — record a full metrics snapshot every N
   observations into ``ScenarioResult.snapshots``.
 
+Every run executes under :class:`paused_gc`: the cyclic collector is
+off while the world is simulated or replayed and back in the caller's
+state when the run returns.
+
 Results carry the spec and its stable hash, so a result is a complete,
 reproducible record of what ran.
 """
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
@@ -109,6 +114,30 @@ class ScenarioResult:
     def metric(self, collector: str, key: str, default=None):
         """Convenience lookup: ``metrics[collector][key]``."""
         return self.metrics.get(collector, {}).get(key, default)
+
+
+class paused_gc:
+    """Disable CPython's cyclic collector, restoring the caller's state.
+
+    The simulator, policy, RIB, read-path and collector layers allocate
+    no reference cycles per event (``tests/test_gc_pause.py``), so
+    inside a run the collector would only re-scan live RIBs and free
+    nothing.  A run's one piece of cyclic garbage is its own world (network <->
+    routers <-> sessions).  Nothing is promoted to an older generation
+    while paused, so the first young collection after the restore
+    frees it, at the caller's next container allocation: ``__exit__``
+    allocates none itself, which a generator-based context manager's
+    ``StopIteration`` would.  Nested pauses and callers that already
+    disabled the collector keep their state; exceptions restore it too.
+    """
+
+    def __enter__(self) -> None:
+        self._enabled = gc.isenabled()
+        gc.disable()  # repro: allow(GC001) the one collector-policy site
+
+    def __exit__(self, *exc_info) -> None:
+        if self._enabled:
+            gc.enable()  # repro: allow(GC001) the one collector-policy site
 
 
 class _MetricsPump(SinkBase):
@@ -195,61 +224,63 @@ def run_scenario(
     When the metrics registry is enabled
     (:func:`repro.obs.set_metrics_enabled`), the run starts from a
     clean registry and memo-counter slate and the result carries a
-    ``metrics_report`` describing exactly this run.
+    ``metrics_report`` describing exactly this run.  The run executes
+    under :class:`paused_gc`.
     """
     spec.validate()
-    instrumented = obs_metrics.metrics_enabled()
-    if instrumented:
-        # One report == one run: never blend in a previous run's state.
-        obs_metrics.reset_metrics()
-        reset_memo_stats()
-    with obs_metrics.phase("scenario.setup"):
-        proxy = make_collectors(spec.collectors)
-        pump = _MetricsPump(
-            proxy,
-            early_stop=early_stop,
-            snapshot_every=snapshot_every,
-            journal=journal,
-            heartbeat_every=heartbeat_every,
-            on_heartbeat=on_heartbeat,
+    with paused_gc():
+        instrumented = obs_metrics.metrics_enabled()
+        if instrumented:
+            # One report == one run: never blend in a previous run's state.
+            obs_metrics.reset_metrics()
+            reset_memo_stats()
+        with obs_metrics.phase("scenario.setup"):
+            proxy = make_collectors(spec.collectors)
+            pump = _MetricsPump(
+                proxy,
+                early_stop=early_stop,
+                snapshot_every=snapshot_every,
+                journal=journal,
+                heartbeat_every=heartbeat_every,
+                on_heartbeat=on_heartbeat,
+            )
+        stopped = False
+        spill_paths: "Dict[str, str]" = {}
+        reader_stats: "Dict[str, int]" = {}
+        if spec.kind == "lab":
+            _run_lab(spec, proxy)
+        elif spec.kind == "mrt":
+            stopped = _run_mrt(spec, proxy, pump, reader_stats)
+        else:
+            stopped = _run_internet(spec, proxy, pump, spill_paths)
+        with obs_metrics.phase("scenario.analyze"):
+            metrics = proxy.finish()
+        report: dict = {}
+        if instrumented:
+            registry = obs_metrics.registry()
+            registry.count("scenario.observations", proxy.observed)
+            if reader_stats:
+                replay_seconds = registry.timer_seconds("phase.mrt.replay")
+                if replay_seconds > 0:
+                    registry.gauge(
+                        "mrt.records_per_second",
+                        reader_stats.get("records", 0) / replay_seconds,
+                    )
+            report = {
+                "phases": registry.phase_seconds(),
+                "memo": memo_stats(),
+            }
+            report.update(registry.report())
+        return ScenarioResult(
+            spec=spec,
+            spec_hash=spec_hash(spec),
+            metrics=metrics,
+            snapshots=pump.snapshots,
+            stopped_early=stopped,
+            spill_paths=spill_paths,
+            reader_stats=reader_stats,
+            metrics_report=report,
         )
-    stopped = False
-    spill_paths: "Dict[str, str]" = {}
-    reader_stats: "Dict[str, int]" = {}
-    if spec.kind == "lab":
-        _run_lab(spec, proxy)
-    elif spec.kind == "mrt":
-        stopped = _run_mrt(spec, proxy, pump, reader_stats)
-    else:
-        stopped = _run_internet(spec, proxy, pump, spill_paths)
-    with obs_metrics.phase("scenario.analyze"):
-        metrics = proxy.finish()
-    report: dict = {}
-    if instrumented:
-        registry = obs_metrics.registry()
-        registry.count("scenario.observations", proxy.observed)
-        if reader_stats:
-            replay_seconds = registry.timer_seconds("phase.mrt.replay")
-            if replay_seconds > 0:
-                registry.gauge(
-                    "mrt.records_per_second",
-                    reader_stats.get("records", 0) / replay_seconds,
-                )
-        report = {
-            "phases": registry.phase_seconds(),
-            "memo": memo_stats(),
-        }
-        report.update(registry.report())
-    return ScenarioResult(
-        spec=spec,
-        spec_hash=spec_hash(spec),
-        metrics=metrics,
-        snapshots=pump.snapshots,
-        stopped_early=stopped,
-        spill_paths=spill_paths,
-        reader_stats=reader_stats,
-        metrics_report=report,
-    )
 
 
 def run_scenario_json(

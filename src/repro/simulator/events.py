@@ -192,7 +192,13 @@ class EventQueue:
             executed += 1
             self._processed += 1
         if until is not None and self._clock.now < until:
-            advance_to(until)
+            # A max_events stop can leave events due before *until*;
+            # the clock must not skip past them.
+            while heap and heap[0][2].cancelled:
+                pop(heap)
+                self._cancelled -= 1
+            if not heap or heap[0][0] > until:
+                advance_to(until)
         return executed
 
     def run_until_idle(self, *, max_events: int = 1_000_000) -> int:

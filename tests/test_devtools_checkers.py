@@ -576,6 +576,46 @@ class TestMemo001:
         assert report.clean
 
 
+# ----------------------------------------------------------------------
+# GC001 — one cyclic-collector policy
+# ----------------------------------------------------------------------
+class TestGc001:
+    def test_flags_collector_calls_through_any_alias(self):
+        report = _check(
+            """
+            import gc
+            import gc as collector
+            from gc import collect as full_collection
+
+            def run_day(model):
+                gc.disable()
+                collector.set_threshold(10_000)
+                model.run()
+                full_collection()
+                gc.freeze()
+            """,
+            "workloads/internet.py",
+            select=["GC001"],
+        )
+        assert _codes(report) == ["GC001"] * 4
+        assert "paused_gc" in report.findings[0].message
+
+    def test_passes_waived_helper_and_read_only_probes(self):
+        report = _check(
+            """
+            import gc
+
+            def paused():
+                enabled = gc.isenabled()
+                gc.disable()  # repro: allow(GC001) the one pause helper
+                counts = gc.get_count()
+                return enabled, counts
+            """,
+            "scenarios/engine.py",
+            select=["GC001"],
+        )
+        assert report.clean
+
 
 # ----------------------------------------------------------------------
 # DUR001 — durable state must go through atomic_write

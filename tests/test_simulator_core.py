@@ -40,6 +40,24 @@ class TestEventQueue:
         assert self.queue.now == 2.0  # clock advanced to boundary
         assert self.queue.pending == 1
 
+    def test_max_events_stop_keeps_clock_before_queued_events(self):
+        seen = []
+        for when in (1.0, 2.0, 3.0):
+            self.queue.schedule(when, lambda when=when: seen.append(when))
+        assert self.queue.run(until=10.0, max_events=1) == 1
+        assert self.queue.now == 1.0  # 2.0 and 3.0 are still due
+        assert self.queue.run() == 2  # no ClockError
+        assert seen == [1.0, 2.0, 3.0]
+        assert self.queue.now == 3.0
+
+    def test_max_events_stop_skips_cancelled_events_to_until(self):
+        self.queue.schedule(1.0, lambda: None)
+        self.queue.schedule(2.0, lambda: None).cancel()
+        self.queue.schedule(5.0, lambda: None)
+        assert self.queue.run(until=4.0, max_events=1) == 1
+        assert self.queue.now == 4.0  # only a tombstone was due
+        assert self.queue.pending == 1
+
     def test_events_can_schedule_events(self):
         seen = []
 
