@@ -11,8 +11,11 @@ echo "== static analysis =="
 # The contract linter gates the tree before any test runs: determinism
 # (DET001/DET002), hot-path instrumentation gating (OBS001), CLI stdout
 # discipline (IO001), cache schema versioning (CACHE001), bounded
-# memos (MEMO001) and atomic durable writes (DUR001).  Exit 1 here
-# means a contract violation — fix it or
+# memos (MEMO001), one cyclic-collector pause policy (GC001) and
+# atomic durable writes (DUR001).  Two infrastructure codes report
+# files that do not parse (SYN001) and malformed or unreasoned
+# waivers (SUP001); neither can be waived.  Exit 1 here means a
+# contract violation — fix it or
 # add a reasoned `# repro: allow(CODE) reason` waiver, don't baseline.
 python -m repro check src
 # The shipped baseline must stay empty: all grandfathering happens as

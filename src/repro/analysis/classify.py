@@ -39,6 +39,13 @@ class AnnouncementType(enum.Enum):
     XC = "xc"  # prepend-only path change + community change
     XN = "xn"  # prepend-only path change
 
+    # Every TypeCounts tally hashes a member, and Enum's own __hash__
+    # is a Python-level hash(self._name_).  Identity hashing is safe:
+    # members are process singletons, Enum's name hash is already
+    # salted per process, and DET002 forbids iterating an unsorted set
+    # in analysis/, so no output depends on the hash either way.
+    __hash__ = object.__hash__
+
     @property
     def path_changed(self) -> bool:
         """True when the AS path changed beyond prepending."""
@@ -75,6 +82,12 @@ TYPE_ORDER = (
 )
 
 
+# The per-announcement paths read members through these aliases: on
+# Python 3.11 every ``AnnouncementType.X`` lookup runs the Python-level
+# ``EnumType.__getattr__`` hook.
+_PC, _PN, _NC, _NN, _XC, _XN = TYPE_ORDER
+
+
 def compare_announcements(
     previous_path: Optional[ASPath],
     previous_communities: CommunitySet,
@@ -98,14 +111,10 @@ def compare_announcements(
         and communities != previous_communities
     )
     if current_path is prior_path or current_path == prior_path:
-        return (
-            AnnouncementType.NC if community_changed else AnnouncementType.NN
-        )
+        return _NC if community_changed else _NN
     if current_path.is_prepend_variant_of(prior_path):
-        return (
-            AnnouncementType.XC if community_changed else AnnouncementType.XN
-        )
-    return AnnouncementType.PC if community_changed else AnnouncementType.PN
+        return _XC if community_changed else _XN
+    return _PC if community_changed else _PN
 
 
 @dataclass
@@ -243,7 +252,7 @@ class UpdateClassifier:
         if previous[0] is path and previous[1] is communities:
             # O(1) fast path: the interned decode objects are the very
             # ones stored last time, so this is an exact duplicate.
-            announcement_type = AnnouncementType.NN
+            announcement_type = _NN
         else:
             announcement_type = compare_announcements(
                 previous[0], previous[1], path, communities

@@ -138,12 +138,13 @@ class CleaningPipeline:
         report: "Optional[CleaningReport]" = None,
     ) -> Iterator[Observation]:
         """Incrementally clean an ordered feed, one observation at a
-        time (bounded memory: state is one timestamp per in-flight
-        whole second).  *report* is updated as observations flow, so a
-        live pipeline can inspect it mid-run."""
+        time (bounded memory: the disambiguation state is one
+        ``(second, timestamp)`` pair per collector, see
+        :meth:`_disambiguate_one`).  *report* is updated as
+        observations flow, so a live pipeline can inspect it mid-run."""
         if report is None:
             report = CleaningReport()
-        last_by_second: dict = {}
+        last_by_collector: dict = {}
         for observation in observations:
             report.input_observations += 1
             result = self._clean_one(observation, report)
@@ -151,7 +152,7 @@ class CleaningPipeline:
                 continue
             if self._disambiguate:
                 result = self._disambiguate_one(
-                    result, last_by_second, report
+                    result, last_by_collector, report
                 )
             report.output_observations += 1
             yield result
@@ -241,7 +242,7 @@ class CleaningPipeline:
     def _disambiguate_one(
         self,
         observation: Observation,
-        last_by_second: dict,
+        last_by_collector: dict,
         report: CleaningReport,
     ) -> Observation:
         """Spread same-second arrivals by the configured step.
@@ -250,17 +251,26 @@ class CleaningPipeline:
         whole-second granularity are touched.  Messages that already
         carry sub-second precision are assumed disambiguated by the
         collector.
+
+        *last_by_collector* maps each collector to one ``(second,
+        last timestamp)`` pair, replaced when the collector's next
+        whole-second arrival falls in a different second.  On a
+        time-ordered feed that is the same as remembering every second
+        ever seen.  A feed that goes back in time restarts the
+        revisited second instead: its first arrival keeps its own
+        timestamp, and the step counts up again from there.
         """
         timestamp = observation.timestamp
-        if timestamp != int(timestamp):
+        second = int(timestamp)
+        if timestamp != second:
             return observation
-        key = (observation.session.collector, int(timestamp))
-        previous = last_by_second.get(key)
-        if previous is None:
-            last_by_second[key] = timestamp
+        collector = observation.session.collector
+        state = last_by_collector.get(collector)
+        if state is None or state[0] != second:
+            last_by_collector[collector] = (second, timestamp)
             return observation
-        adjusted = previous + self._step
-        last_by_second[key] = adjusted
+        adjusted = state[1] + self._step
+        last_by_collector[collector] = (second, adjusted)
         report.disambiguated_timestamps += 1
         return observation.shifted(adjusted)
 
@@ -279,7 +289,7 @@ class CleaningSink:
         self._pipeline = pipeline
         self.downstream = downstream
         self.report = report if report is not None else CleaningReport()
-        self._last_by_second: dict = {}
+        self._last_by_collector: dict = {}
 
     def push(self, observation: Observation) -> None:
         pipeline = self._pipeline
@@ -289,7 +299,7 @@ class CleaningSink:
             return
         if pipeline._disambiguate:
             result = pipeline._disambiguate_one(
-                result, self._last_by_second, self.report
+                result, self._last_by_collector, self.report
             )
         self.report.output_observations += 1
         self.downstream.push(result)

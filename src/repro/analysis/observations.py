@@ -11,8 +11,7 @@ later stage consumes.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional
 
 from repro.bgp.aspath import ASPath
 from repro.bgp.community import CommunitySet
@@ -29,9 +28,19 @@ class ObservationKind(enum.Enum):
     WITHDRAW = "withdraw"
 
 
-@dataclass(frozen=True)
-class SessionKey:
-    """Identity of one BGP session at one collector."""
+# The per-observation paths read members through these aliases: on
+# Python 3.11 every ``ObservationKind.X`` lookup runs the Python-level
+# ``EnumType.__getattr__`` hook.
+_ANNOUNCE = ObservationKind.ANNOUNCE
+_WITHDRAW = ObservationKind.WITHDRAW
+
+
+class SessionKey(NamedTuple):
+    """Identity of one BGP session at one collector.
+
+    A named tuple, so hashing and equality run in C; its hash is the
+    hash of the plain field tuple.
+    """
 
     collector: str
     peer_asn: int
@@ -41,9 +50,12 @@ class SessionKey:
         return f"{self.collector}:{self.peer_asn}@{self.peer_address}"
 
 
-@dataclass(frozen=True)
-class Observation:
-    """One per-prefix event as seen by a collector session."""
+class Observation(NamedTuple):
+    """One per-prefix event as seen by a collector session.
+
+    A named tuple: one is built per (message, prefix), and building,
+    hashing and comparing one are tuple operations.
+    """
 
     timestamp: float
     session: SessionKey
@@ -56,12 +68,12 @@ class Observation:
     @property
     def is_announcement(self) -> bool:
         """True for announcements."""
-        return self.kind == ObservationKind.ANNOUNCE
+        return self.kind is _ANNOUNCE
 
     @property
     def is_withdrawal(self) -> bool:
         """True for withdrawals."""
-        return self.kind == ObservationKind.WITHDRAW
+        return self.kind is _WITHDRAW
 
     def stream_key(self) -> "tuple[SessionKey, Prefix]":
         """The (session, prefix) grouping key of §5."""
@@ -69,11 +81,11 @@ class Observation:
 
     def shifted(self, new_timestamp: float) -> "Observation":
         """Copy with a different timestamp (cleaning pipeline)."""
-        return replace(self, timestamp=new_timestamp)
+        return self._replace(timestamp=new_timestamp)
 
     def with_as_path(self, as_path: ASPath) -> "Observation":
         """Copy with a repaired AS path (route-server fix-up)."""
-        return replace(self, as_path=as_path)
+        return self._replace(as_path=as_path)
 
 
 def explode_update(
@@ -85,25 +97,20 @@ def explode_update(
 
     Withdrawals come first, matching wire order within a message.
     """
+    # Positional arguments: a named tuple's keyword form takes about
+    # twice as long to build, once per (message, prefix).
     for prefix in message.withdrawn:
-        yield Observation(
-            timestamp=timestamp,
-            session=session,
-            prefix=prefix,
-            kind=ObservationKind.WITHDRAW,
-        )
+        yield Observation(timestamp, session, prefix, _WITHDRAW)
     if message.announced:
         attributes = message.attributes
         assert attributes is not None
+        as_path = attributes.as_path
+        communities = attributes.communities
+        med = attributes.med
         for prefix in message.announced:
             yield Observation(
-                timestamp=timestamp,
-                session=session,
-                prefix=prefix,
-                kind=ObservationKind.ANNOUNCE,
-                as_path=attributes.as_path,
-                communities=attributes.communities,
-                med=attributes.med,
+                timestamp, session, prefix, _ANNOUNCE,
+                as_path, communities, med,
             )
 
 

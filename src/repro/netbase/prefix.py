@@ -8,14 +8,15 @@ We need a prefix representation that is
 * convertible to and from the BGP/MRT wire encodings (NLRI format).
 
 The standard library :mod:`ipaddress` module is correct but carries
-overhead we do not want in the hot path, so :class:`Prefix` stores the
-network address as a plain ``int`` plus ``(length, version)`` and
+overhead we do not want in the hot path, so :class:`Prefix` is a
+``(version, network, length)`` tuple of plain ``int`` values and
 implements only the operations the reproduction needs.
 """
 
 from __future__ import annotations
 
 import ipaddress
+from operator import itemgetter
 from typing import Iterator
 
 from repro.netbase.errors import PrefixError
@@ -54,8 +55,13 @@ def nlri_memo_size() -> int:
     return len(_NLRI_MEMO)
 
 
-class Prefix:
+class Prefix(tuple):
     """An immutable IPv4/IPv6 prefix.
+
+    A ``tuple`` subclass holding ``(version, network, length)``, so
+    hashing, equality and ordering run in C: prefixes key every RIB,
+    stream and counter dict.  Tuple order is version, then network,
+    then length.
 
     >>> Prefix("84.205.64.0/24")
     Prefix('84.205.64.0/24')
@@ -65,14 +71,11 @@ class Prefix:
     True
     """
 
-    __slots__ = ("_network", "_length", "_version", "_hash")
+    __slots__ = ()
 
-    def __init__(self, text: "str | Prefix", *, strict: bool = True):
+    def __new__(cls, text: "str | Prefix", *, strict: bool = True):
         if isinstance(text, Prefix):
-            self._network = text._network
-            self._length = text._length
-            self._version = text._version
-            return
+            return text
         if not isinstance(text, str):
             raise PrefixError(f"prefix must be a string, got {type(text).__name__}")
         address_text, sep, length_text = text.partition("/")
@@ -90,9 +93,7 @@ class Prefix:
         mask = _mask(length, max_bits)
         if strict and network & ~mask & ((1 << max_bits) - 1):
             raise PrefixError(f"host bits set in prefix: {text!r}")
-        self._network = network & mask
-        self._length = length
-        self._version = address.version
+        return tuple.__new__(cls, (address.version, network & mask, length))
 
     # ------------------------------------------------------------------
     # constructors
@@ -100,7 +101,6 @@ class Prefix:
     @classmethod
     def from_int(cls, network: int, length: int, version: int) -> "Prefix":
         """Build a prefix directly from its integer representation."""
-        self = object.__new__(cls)
         max_bits = _V4_BITS if version == 4 else _V6_BITS
         if version not in (4, 6):
             raise PrefixError(f"bad IP version: {version}")
@@ -111,10 +111,7 @@ class Prefix:
         mask = _mask(length, max_bits)
         if network & ~mask & ((1 << max_bits) - 1):
             raise PrefixError("host bits set in prefix integer")
-        self._network = network
-        self._length = length
-        self._version = version
-        return self
+        return tuple.__new__(cls, (version, network, length))
 
     @classmethod
     def from_nlri(cls, data: bytes, version: int = 4) -> "tuple[Prefix, int]":
@@ -157,20 +154,12 @@ class Prefix:
     # ------------------------------------------------------------------
     # accessors
     # ------------------------------------------------------------------
-    @property
-    def network(self) -> int:
-        """The network address as an integer."""
-        return self._network
-
-    @property
-    def length(self) -> int:
-        """The prefix length in bits."""
-        return self._length
-
-    @property
-    def version(self) -> int:
-        """IP version, 4 or 6."""
-        return self._version
+    version = property(itemgetter(0), doc="IP version, 4 or 6.")
+    network = property(
+        itemgetter(1), doc="The network address as an integer."
+    )
+    length = property(itemgetter(2), doc="The prefix length in bits.")
+    _version, _network, _length = version, network, length
 
     @property
     def max_bits(self) -> int:
@@ -238,32 +227,10 @@ class Prefix:
     # ------------------------------------------------------------------
     # dunder protocol
     # ------------------------------------------------------------------
-    def _key(self) -> tuple:
-        return (self._version, self._network, self._length)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Prefix):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __lt__(self, other: "Prefix") -> bool:
-        if not isinstance(other, Prefix):
-            return NotImplemented
-        return self._key() < other._key()
-
-    def __le__(self, other: "Prefix") -> bool:
-        if not isinstance(other, Prefix):
-            return NotImplemented
-        return self._key() <= other._key()
-
-    def __hash__(self) -> int:
-        # Prefixes key every RIB dict; cache the hash lazily (slot may
-        # be unset because from_int() bypasses __init__).
-        try:
-            return self._hash
-        except AttributeError:
-            self._hash = hash(self._key())
-            return self._hash
+    def __reduce__(self):
+        # tuple's default pickling would hand the field tuple to
+        # __new__, which parses text; rebuild through from_int instead.
+        return (type(self).from_int, (self[1], self[2], self[0]))
 
     def __repr__(self) -> str:
         return f"Prefix('{self}')"

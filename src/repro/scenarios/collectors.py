@@ -258,12 +258,9 @@ class CommunityPrevalenceCollector(MetricCollector):
             self._with_communities += 1
             self._classic_sets.add(communities.classic)
 
-    def _unique_16bit(self) -> set:
-        return {
-            community.value
-            for classic in self._classic_sets
-            for community in classic
-        }
+    def _unique_16bit(self) -> frozenset:
+        # Community is an int subclass: the union counts raw values.
+        return frozenset().union(*self._classic_sets)
 
     def finish(self) -> dict:
         share = (

@@ -24,8 +24,7 @@ from __future__ import annotations
 
 import io
 import zlib
-from dataclasses import dataclass
-from typing import BinaryIO, Iterator, List, Optional
+from typing import BinaryIO, Iterator, List, NamedTuple, Optional
 
 from repro.bgp.message import BGPMessage, UpdateMessage
 from repro.mrt.records import Bgp4mpMessage
@@ -42,9 +41,9 @@ from repro.pipeline.sinks import (
 from repro.simulator.session import BGPSession
 
 
-@dataclass(frozen=True)
-class CollectedMessage:
-    """One archived message with its session envelope."""
+class CollectedMessage(NamedTuple):
+    """One archived message with its session envelope (a named tuple,
+    built once per archived message)."""
 
     timestamp: float
     collector: str

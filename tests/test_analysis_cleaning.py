@@ -1,6 +1,7 @@
 """Unit tests for the §4 cleaning pipeline."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis import CleaningPipeline
 from repro.analysis.cleaning import SAME_SECOND_STEP
@@ -11,6 +12,7 @@ from repro.analysis.observations import (
 )
 from repro.bgp import ASPath, CommunitySet
 from repro.netbase import Prefix
+from repro.pipeline.sinks import CountingSink
 from repro.workloads import AllocationRegistry
 
 SESSION = SessionKey("rrc00", 20205, "10.0.0.1")
@@ -176,6 +178,87 @@ class TestTimestampDisambiguation:
         pipeline = CleaningPipeline(disambiguate_same_second=False)
         cleaned, _ = pipeline.run([announce(100.0), announce(100.0)])
         assert [obs.timestamp for obs in cleaned] == [100.0, 100.0]
+
+
+def dict_per_second_reference(observations, step=SAME_SECOND_STEP):
+    """Disambiguation with unbounded state: one entry per (collector,
+    whole second) ever seen."""
+    last_by_second = {}
+    times = []
+    for observation in observations:
+        timestamp = observation.timestamp
+        if timestamp != int(timestamp):
+            times.append(timestamp)
+            continue
+        key = (observation.session.collector, int(timestamp))
+        previous = last_by_second.get(key)
+        adjusted = timestamp if previous is None else previous + step
+        last_by_second[key] = adjusted
+        times.append(adjusted)
+    return times
+
+
+class TestDisambiguationState:
+    COLLECTORS = ("rrc00", "rrc01", "route-views2")
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(COLLECTORS),
+                st.integers(0, 3),
+                st.sampled_from((0.0, 0.0, 0.0, 0.25, 0.5)),
+            ),
+            max_size=60,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_time_ordered_feed_matches_per_second_reference(self, steps):
+        feed = []
+        clock = 100
+        for collector, advance, fraction in steps:
+            clock += advance
+            session = SessionKey(collector, 20205, "10.0.0.1")
+            feed.append(announce(clock + fraction, session=session))
+        cleaned, report = CleaningPipeline().run(feed)
+        reference = dict_per_second_reference(feed)
+        assert [obs.timestamp for obs in cleaned] == reference
+        assert report.disambiguated_timestamps == sum(
+            1
+            for obs, t in zip(feed, reference)
+            if obs.timestamp != t
+        )
+
+    def test_state_is_one_pair_per_collector(self):
+        delivered = CountingSink()
+        sink = CleaningPipeline().sink(delivered)
+        templates = [
+            announce(0.0, session=SessionKey(collector, 20205, "10.0.0.1"))
+            for collector in self.COLLECTORS
+        ]
+        for second in range(10_000):
+            for template in templates:
+                observation = template.shifted(float(second))
+                sink.push(observation)
+                sink.push(observation)
+        assert len(sink._last_by_collector) == len(self.COLLECTORS)
+        assert delivered.count == 2 * 10_000 * len(self.COLLECTORS)
+        assert sink.report.disambiguated_timestamps == 10_000 * len(
+            self.COLLECTORS
+        )
+
+    def test_feed_going_back_in_time_restarts_the_second(self):
+        cleaned, report = CleaningPipeline().run(
+            [announce(100.0), announce(100.0), announce(101.0),
+             announce(100.0), announce(100.0)]
+        )
+        assert [obs.timestamp for obs in cleaned] == [
+            100.0,
+            100.0 + SAME_SECOND_STEP,
+            101.0,
+            100.0,
+            100.0 + SAME_SECOND_STEP,
+        ]
+        assert report.disambiguated_timestamps == 2
 
 
 class TestReport:

@@ -1,6 +1,9 @@
 """Unit tests for repro.netbase.prefix."""
 
+import pickle
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.netbase import Prefix, PrefixError
 
@@ -181,3 +184,57 @@ class TestOrdering:
     def test_iter_host_bits(self):
         bits = list(Prefix("128.0.0.0/2").iter_host_bits())
         assert bits == [1, 0]
+
+
+@st.composite
+def prefix_triples(draw):
+    """Valid ``(version, network, length)`` triples, host bits clear."""
+    version = draw(st.sampled_from((4, 6)))
+    max_bits = 32 if version == 4 else 128
+    length = draw(st.integers(0, max_bits))
+    top = draw(st.integers(0, (1 << length) - 1)) if length else 0
+    return version, top << (max_bits - length), length
+
+
+class TestValueTypeContract:
+    """Prefix is a ``(version, network, length)`` tuple: hash, equality
+    and order are those of the plain field tuple."""
+
+    @given(prefix_triples())
+    @settings(max_examples=200, deadline=None)
+    def test_hash_is_the_field_tuples(self, triple):
+        version, network, length = triple
+        prefix = Prefix.from_int(network, length, version)
+        assert hash(prefix) == hash((version, network, length))
+        assert (prefix.version, prefix.network, prefix.length) == triple
+
+    @given(st.lists(prefix_triples(), max_size=20))
+    @settings(max_examples=100, deadline=None)
+    def test_sorts_by_version_network_length(self, triples):
+        prefixes = [Prefix.from_int(n, l, v) for v, n, l in triples]
+        assert [
+            (p.version, p.network, p.length) for p in sorted(prefixes)
+        ] == sorted(triples)
+
+    @given(prefix_triples())
+    @settings(max_examples=50, deadline=None)
+    def test_pickle_round_trip(self, triple):
+        version, network, length = triple
+        prefix = Prefix.from_int(network, length, version)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            copy = pickle.loads(pickle.dumps(prefix, protocol))
+            assert type(copy) is Prefix
+            assert copy == prefix
+
+    def test_copy_constructor_returns_its_argument(self):
+        prefix = Prefix("10.0.0.0/8")
+        assert Prefix(prefix) is prefix
+
+    def test_text_forms_unchanged(self):
+        assert str(Prefix("10.0.0.0/8")) == "10.0.0.0/8"
+        assert repr(Prefix("2001:db8::/32")) == "Prefix('2001:db8::/32')"
+
+    def test_immutable(self):
+        prefix = Prefix("10.0.0.0/8")
+        with pytest.raises(AttributeError):
+            prefix.extra = 1  # type: ignore[attr-defined]

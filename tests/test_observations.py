@@ -1,5 +1,8 @@
 """Unit tests for observation flattening and stream grouping."""
 
+import pytest
+
+from repro.analysis.classify import AnnouncementType
 from repro.analysis.observations import (
     Observation,
     ObservationKind,
@@ -11,6 +14,7 @@ from repro.analysis.observations import (
 )
 from repro.bgp import ASPath, CommunitySet, PathAttributes, UpdateMessage
 from repro.netbase import ASN, Prefix
+from repro.simulator.collector import CollectedMessage
 
 SESSION = SessionKey("rrc00", 20205, "10.0.0.1")
 
@@ -99,3 +103,42 @@ class TestGrouping:
 
     def test_session_key_str(self):
         assert str(SESSION) == "rrc00:20205@10.0.0.1"
+
+
+class TestValueTypeContract:
+    """The per-observation key and record types hash, compare and
+    construct in C.  A Python-level ``__hash__`` coming back on any of
+    them is a measurable slowdown on every observation."""
+
+    @pytest.mark.parametrize(
+        "cls", [Prefix, SessionKey, Observation, CollectedMessage]
+    )
+    def test_tuple_hash(self, cls):
+        assert issubclass(cls, tuple)
+        assert cls.__hash__ is tuple.__hash__
+
+    def test_announcement_type_hashes_by_identity(self):
+        assert AnnouncementType.__hash__ is object.__hash__
+        assert hash(AnnouncementType.NN) == object.__hash__(
+            AnnouncementType.NN
+        )
+
+    def test_session_key_hash_is_the_field_tuples(self):
+        assert hash(SESSION) == hash(("rrc00", 20205, "10.0.0.1"))
+        assert SESSION == SessionKey("rrc00", 20205, "10.0.0.1")
+
+    def test_observation_is_immutable(self):
+        update = UpdateMessage.announce(Prefix("10.0.0.0/8"), attrs())
+        observation = next(explode_update(1.0, SESSION, update))
+        with pytest.raises(AttributeError):
+            observation.timestamp = 2.0
+        with pytest.raises(AttributeError):
+            observation.extra = 1
+
+    def test_copies_keep_the_type(self):
+        update = UpdateMessage.announce(Prefix("10.0.0.0/8"), attrs())
+        observation = next(explode_update(1.0, SESSION, update))
+        moved = observation.shifted(2.0)
+        assert type(moved) is Observation
+        assert moved == observation._replace(timestamp=2.0)
+        assert moved.communities is observation.communities
