@@ -49,29 +49,43 @@ python -m repro scenario sweep topology-tiny --seeds 1,2 --workers 2 \
 
 echo
 echo "== smoke: every execution backend =="
-for BACKEND in serial processes; do
+for BACKEND in serial processes queue; do
     python -m repro scenario sweep topology-tiny --seeds 1,2 --workers 2 \
         --backend "$BACKEND" --cache-dir "$CACHE_DIR/backend-$BACKEND"
 done
 
 echo
-echo "== smoke: sharded sweep, killed cell, resume round trip =="
-# Shard 0 of 2 computes only its slice of the 4-seed sweep; shard 1's
-# cells stay pending in the shared manifest (as if that invocation was
-# killed before it started).  Then simulate a cell lost to a mid-write
-# kill by deleting one completed cache entry, and let --resume finish
-# the whole sweep from the manifest alone.
-SHARD_CACHE="$CACHE_DIR/sharded"
-python -m repro scenario sweep topology-tiny --seeds 1,2,3,4 \
-    --shard 0/2 --backend serial --cache-dir "$SHARD_CACHE"
-FIRST_CELL="$(ls "$SHARD_CACHE"/*.json | grep -v sweep.json | head -n 1)"
+echo "== smoke: queue sweep, killed cell, resume round trip =="
+# A first queue invocation computes seeds 1-2 of the 4-seed sweep.  A
+# second one over all four seeds is killed on the first cell it
+# claims (a count-1 kill rule: to its peers it looks like a machine
+# that died mid-cell), leaving a dead claim and pending cells in the
+# shared manifest.  Then simulate a cell lost to a mid-write kill by
+# deleting one completed cache entry, and let --resume finish the
+# whole sweep from the manifest alone; a short --stale-claim lets it
+# requeue the dead invocation's claim.
+QUEUE_KILL_CACHE="$CACHE_DIR/queue-killed"
+python -m repro scenario sweep topology-tiny --seeds 1,2 \
+    --backend queue --cache-dir "$QUEUE_KILL_CACHE"
+cat > "$CACHE_DIR/queue-kill-plan.json" <<'EOF'
+{"seed": 1,
+ "rules": [{"site": "sweep.cell", "action": "kill", "count": 1}]}
+EOF
+if REPRO_FAULT_PLAN="$CACHE_DIR/queue-kill-plan.json" \
+    python -m repro scenario sweep topology-tiny --seeds 1,2,3,4 \
+    --backend queue --cache-dir "$QUEUE_KILL_CACHE"; then
+    echo "the killed queue invocation exited cleanly" >&2
+    exit 1
+fi
+FIRST_CELL="$(ls "$QUEUE_KILL_CACHE"/*.json | grep -v sweep.json | head -n 1)"
 rm -f "$FIRST_CELL"
-python -m repro scenario sweep --resume --cache-dir "$SHARD_CACHE" \
-    --workers 2
+sleep 1
+python -m repro scenario sweep --resume --cache-dir "$QUEUE_KILL_CACHE" \
+    --backend queue --stale-claim 0.5
 # A final serial pass must be served entirely from the shared cache —
-# the N cooperating invocations converged to the full sweep.
+# the cooperating invocations converged to the full sweep.
 python -m repro scenario sweep topology-tiny --seeds 1,2,3,4 \
-    --backend serial --cache-dir "$SHARD_CACHE" \
+    --backend serial --cache-dir "$QUEUE_KILL_CACHE" \
     | tee "$CACHE_DIR/converged.txt"
 grep -q "4 hit(s), 0 miss(es)" "$CACHE_DIR/converged.txt"
 
@@ -79,8 +93,8 @@ echo
 echo "== smoke: sweep status view =="
 # The human table goes to stderr; --json puts the machine payload on
 # stdout, where it must parse and agree that every cell finished.
-python -m repro scenario sweep --status --cache-dir "$SHARD_CACHE"
-python -m repro scenario sweep --status --cache-dir "$SHARD_CACHE" \
+python -m repro scenario sweep --status --cache-dir "$QUEUE_KILL_CACHE"
+python -m repro scenario sweep --status --cache-dir "$QUEUE_KILL_CACHE" \
     --json | python -c '
 import json, sys
 status = json.load(sys.stdin)
@@ -90,7 +104,7 @@ assert status["counts"]["done"] == status["counts"]["total"] == 4, status
 echo
 echo "== smoke: killed worker must not cascade =="
 # A worker os._exits mid-cell (a kill rule in a REPRO_FAULT_PLAN; to
-# the pool it looks like a segfault or OOM kill).  The fix under
+# the lane's parent it looks like a segfault or OOM kill).  The fix under
 # test: the sweep completes every sibling and reports exactly the
 # killed cell as failed (exit 1) — one dead worker used to fail the
 # whole batch.  A fault-free --resume then finishes the matrix.

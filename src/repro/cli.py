@@ -225,15 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="execution backend for cache misses (default: processes)",
     )
     scenario_sweep.add_argument(
-        "--shard",
-        default=None,
-        metavar="I/N",
-        help=(
-            "run only shard I of N (deterministic spec-hash partition;"
-            " cooperating invocations share --cache-dir)"
-        ),
-    )
-    scenario_sweep.add_argument(
         "--queue-dir",
         default=None,
         metavar="DIR",
@@ -267,9 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help=(
-            "wall-clock budget per cell; a cell running longer is"
-            " reaped, charged one attempt, and retried while"
-            " --max-retries allows"
+            "wall-clock budget per cell (--backend processes); a"
+            " cell running longer has its lane killed, is charged one"
+            " attempt, and is retried while --max-retries allows"
         ),
     )
     scenario_sweep.add_argument(
@@ -281,26 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
             "base of the deterministic exponential backoff between"
             " retries of a failing cell (default 0.1s: 0.1, 0.2,"
             " 0.4, ...)"
-        ),
-    )
-    scenario_sweep.add_argument(
-        "--pool-rebuilds",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "times a pool broken by a dying worker is rebuilt wholesale"
-            " (unreplied cells resubmitted, nobody charged) before"
-            " remaining cells run isolated one-per-pool (default 1)"
-        ),
-    )
-    scenario_sweep.add_argument(
-        "--speculate",
-        action="store_true",
-        help=(
-            "duplicate straggler cells onto idle lanes and let the"
-            " first finisher win (safe: payloads are deterministic and"
-            " cache writes are idempotent by digest)"
         ),
     )
     scenario_sweep.add_argument(
@@ -727,12 +698,12 @@ def _scenario_sweep(arguments) -> int:
     import json
 
     from repro.scenarios import (
+        DEFAULT_STALE_CLAIM_SECONDS,
         ScenarioValidationError,
         UnknownScenarioError,
         expand_seeds,
         get_scenario,
         make_backend,
-        parse_shard,
         result_to_json,
         resume_sweep,
         run_sweep,
@@ -761,11 +732,6 @@ def _scenario_sweep(arguments) -> int:
             )
 
     try:
-        shard = (
-            parse_shard(arguments.shard)
-            if arguments.shard is not None
-            else None
-        )
         queue_dir = arguments.queue_dir
         if arguments.backend == "queue" and queue_dir is None:
             if arguments.cache_dir is None:
@@ -776,20 +742,21 @@ def _scenario_sweep(arguments) -> int:
                 )
                 return 2
             queue_dir = os.path.join(arguments.cache_dir, "queue")
-        backend_kwargs = {}
-        if arguments.stale_claim is not None:
-            # 0 or negative = explicitly disable stale-claim requeue;
-            # unspecified keeps the backend's armed default.
-            backend_kwargs["stale_claim_seconds"] = (
-                arguments.stale_claim
-                if arguments.stale_claim > 0
-                else None
-            )
-        backend = make_backend(
-            arguments.backend,
-            shard=shard,
-            queue_dir=queue_dir,
-            **backend_kwargs,
+        stale_claim = arguments.stale_claim
+        if stale_claim is None:
+            stale_claim = DEFAULT_STALE_CLAIM_SECONDS
+        options = dict(
+            workers=arguments.workers,
+            backend=make_backend(
+                arguments.backend,
+                queue_dir=queue_dir,
+                # 0 or negative explicitly disables stale-claim requeue.
+                stale_claim_seconds=stale_claim if stale_claim > 0 else None,
+            ),
+            max_retries=arguments.max_retries,
+            on_outcome=on_outcome,
+            cell_timeout=arguments.cell_timeout,
+            retry_backoff=arguments.retry_backoff,
         )
         if arguments.resume:
             if arguments.name is not None:
@@ -803,17 +770,7 @@ def _scenario_sweep(arguments) -> int:
                 print("--resume requires --cache-dir", file=sys.stderr)
                 return 2
             title = f"Resumed sweep from {arguments.cache_dir}"
-            report = resume_sweep(
-                arguments.cache_dir,
-                workers=arguments.workers,
-                backend=backend,
-                max_retries=arguments.max_retries,
-                on_outcome=on_outcome,
-                cell_timeout=arguments.cell_timeout,
-                retry_backoff=arguments.retry_backoff,
-                pool_rebuilds=arguments.pool_rebuilds,
-                speculate=arguments.speculate,
-            )
+            report = resume_sweep(arguments.cache_dir, **options)
         else:
             if arguments.name is None:
                 print(
@@ -839,16 +796,7 @@ def _scenario_sweep(arguments) -> int:
             specs = expand_seeds(base, seeds)
             title = f"Sweep of {arguments.name}: {len(seeds)} seeds"
             report = run_sweep(
-                specs,
-                workers=arguments.workers,
-                cache_dir=arguments.cache_dir,
-                backend=backend,
-                max_retries=arguments.max_retries,
-                on_outcome=on_outcome,
-                cell_timeout=arguments.cell_timeout,
-                retry_backoff=arguments.retry_backoff,
-                pool_rebuilds=arguments.pool_rebuilds,
-                speculate=arguments.speculate,
+                specs, cache_dir=arguments.cache_dir, **options
             )
     except (UnknownScenarioError, ScenarioValidationError) as exc:
         message = exc.args[0] if exc.args else str(exc)
@@ -895,8 +843,8 @@ def _scenario_sweep(arguments) -> int:
     if report.skipped:
         _emit(
             f"cooperating: {report.skipped} cell(s) left to other"
-            f" invocations (shared cache converges once every shard or"
-            f" queue claimant has run)"
+            f" invocations (shared cache converges once every queue"
+            f" claimant has run)"
         )
     if report.failures:
         if report.cache_dir is not None:

@@ -11,9 +11,9 @@ codebase:
 site                      where / dynamic ``name``
 ========================  =============================================
 ``sweep.cell``            worker picks up a cell (name: cell name)
-``sched.submit``          scheduler submits a cell to a pool (cell name)
-``sched.reply``           scheduler folds a worker reply (cell name)
-``sched.reap``            scheduler reaps a broken/timed-out pool
+``sched.submit``          parent dispatches a cell to a lane (cell name)
+``sched.reply``           parent folds a lane's reply (cell name)
+``sched.reap``            parent kills a lane past ``--cell-timeout``
 ``queue.enqueue.todo``    between seen-marker and todo write (digest)
 ``queue.claim``           right after a successful claim (digest)
 ``queue.done``            before the done record write (digest)
@@ -25,7 +25,7 @@ site                      where / dynamic ``name``
 ========================  =============================================
 
 Arming: set ``REPRO_FAULT_PLAN=<plan.json>`` in the environment (it
-reaches forked pool workers and subprocess invocations alike), or
+reaches forked lanes and subprocess invocations alike), or
 call :func:`set_fault_plan` in-process.  Unarmed, every helper is a
 no-op behind a single module-global check — the same gated-singleton
 discipline as the obs ``phase()`` spans, so production code pays

@@ -31,7 +31,7 @@ subject to:
 Actions:
 
 ``kill``
-    ``os._exit(exit_code)`` — no Python teardown; to a pool or a
+    ``os._exit(exit_code)`` — no Python teardown; to a lane's parent or a
     peer invocation it is indistinguishable from a segfault/OOM kill.
 ``stall``
     ``time.sleep(seconds)`` — a hung worker / NFS stall.

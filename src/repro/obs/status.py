@@ -4,7 +4,7 @@
 dir.  Nothing here talks to the running sweep: the manifest
 (``sweep.json``) and the per-cell JSONL journals *are* the interface,
 so status works identically for an in-flight sweep on this machine, a
-sweep run by cooperating shards, or a post-mortem on a dead one.
+sweep run by cooperating invocations, or a post-mortem on a dead one.
 
 Derived cell states:
 
@@ -284,8 +284,7 @@ def collect_sweep_status(
     if median_wall is not None and median_wall > 0:
         for cell in status.cells:
             # Lost cells are excluded: they are not slow, they are
-            # gone — speculating on them would duplicate dead work's
-            # journal trail, and they already stand out in the table.
+            # gone, and they already stand out in the table.
             if (
                 cell.state == "running"
                 and cell.elapsed_seconds is not None

@@ -21,12 +21,10 @@ declarative contract and one engine:
   community prevalence, duplicate rates, Table 1/2, damping replay,
   lab matrix);
 * :mod:`repro.scenarios.backends` — pluggable sweep execution
-  backends (``serial`` / ``processes`` / ``sharded`` / ``queue``)
-  behind one :class:`ExecutionBackend` interface;
-* :mod:`repro.scenarios.scheduler` — fault-tolerant pool scheduling
-  for the process backend: crash containment with pool rebuilds and
-  isolation, per-cell wall-clock timeouts, deterministic retry
-  backoff and speculative re-dispatch of stragglers;
+  backends (``serial`` / ``processes`` / ``queue``) behind one
+  :class:`ExecutionBackend` interface; ``processes`` runs cells on
+  forked lanes that charge a crash or timeout to exactly the cell
+  that caused it;
 * :mod:`repro.scenarios.runner` — a fault-tolerant, resumable sweep
   runner with per-spec result caching keyed on a stable spec hash
   and an on-disk ``sweep.json`` manifest, so N-seed sweeps use every
@@ -57,14 +55,10 @@ from repro.scenarios.backends import (
     ProcessBackend,
     QueueBackend,
     SerialBackend,
-    ShardedBackend,
     SweepJob,
     backoff_delay,
     make_backend,
-    parse_shard,
-    shard_of,
 )
-from repro.scenarios.scheduler import PoolScheduler, SchedulerConfig
 from repro.scenarios.collectors import (
     CollectorProxy,
     MetricCollector,
@@ -122,17 +116,12 @@ __all__ = [
     "JobFailure",
     "DEFAULT_STALE_CLAIM_SECONDS",
     "JobOutcome",
-    "PoolScheduler",
     "ProcessBackend",
     "QueueBackend",
-    "SchedulerConfig",
     "SerialBackend",
-    "ShardedBackend",
     "SweepJob",
     "backoff_delay",
     "make_backend",
-    "parse_shard",
-    "shard_of",
     "CollectorProxy",
     "MetricCollector",
     "ScenarioContext",

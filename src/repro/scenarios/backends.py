@@ -1,8 +1,7 @@
 """Pluggable sweep execution backends.
 
-The sweep runner used to be welded to one ``ProcessPoolExecutor``.
 This module turns "how do the cells of a sweep actually execute" into
-a small strategy interface, :class:`ExecutionBackend`, with four
+a small strategy interface, :class:`ExecutionBackend`, with three
 implementations:
 
 ``serial``
@@ -12,32 +11,21 @@ implementations:
     backends against.
 
 ``processes``
-    A ``ProcessPoolExecutor`` — the original behavior, refactored
-    onto the interface.  The right default for CPU-bound sweeps.
-
-``sharded``
-    A deterministic partitioner wrapped around any inner backend.
-    Shard ``i`` of ``n`` owns a cell iff
-    ``shard_of(digest, n) == i``; everything else is left untouched
-    for the other ``n - 1`` invocations.  Because ownership is a pure
-    function of the spec hash, independent invocations — separate
-    shells, cron jobs, machines over a shared filesystem — cooperate
-    through the shared spec-hash cache without ever talking to each
-    other.
+    N long-lived forked **lanes**, each a child process behind one
+    duplex pipe.  The parent always knows which cell each lane holds,
+    so a lane that dies (segfault, OOM kill, ``os._exit``) or runs
+    past ``cell_timeout`` is charged to exactly that cell: the lane is
+    reaped and respawned, the cell retried while ``max_retries``
+    allows, and no sibling is touched.  The right default for
+    CPU-bound sweeps.
 
 ``queue``
-    A shared work directory instead of a pre-agreed partition: every
-    invocation enqueues the sweep's cells as job files, then claims
-    them one at a time by atomic rename.  N invocations pointed at
-    the same directory — separate shells, machines over NFS — drain
-    the matrix dynamically, each cell computed exactly once, with no
-    coordinator process.  The first rung of the remote backend.
-
-The process backend does not drive its executor directly: it hands
-the batch to :class:`repro.scenarios.scheduler.PoolScheduler`,
-which contains worker crashes (one dead worker no longer fails the
-whole batch), enforces per-cell wall-clock timeouts, and can
-speculatively re-dispatch straggler cells.
+    A shared work directory: every invocation enqueues the sweep's
+    cells as job files, then claims them one at a time by atomic
+    rename.  N invocations pointed at the same directory — separate
+    shells, machines over NFS — drain the matrix dynamically, each
+    cell computed exactly once, with no coordinator process.  The
+    first rung of the remote backend.
 
 Every backend speaks the same job protocol: a :class:`SweepJob` is
 ``(digest, name, spec JSON)``, an outcome is either a result JSON
@@ -54,21 +42,23 @@ runner can checkpoint caches and manifests without locking.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import time
 import traceback as traceback_module
 from abc import ABC, abstractmethod
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
 from dataclasses import dataclass
+from multiprocessing.connection import wait as wait_for_lanes
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import durable, faults
 from repro.obs import metrics as obs_metrics
 from repro.scenarios.engine import run_scenario_json
 
-#: Names accepted by :func:`make_backend` (``sharded`` additionally
-#: needs a ``shard=(index, count)``; ``queue`` needs a ``queue_dir``).
-BACKEND_NAMES = ("serial", "processes", "sharded", "queue")
+#: Names accepted by :func:`make_backend` (``queue`` needs a
+#: ``queue_dir``).
+BACKEND_NAMES = ("serial", "processes", "queue")
 
 #: Ceiling on any single retry-backoff sleep, seconds.
 BACKOFF_CAP = 30.0
@@ -118,6 +108,13 @@ class SweepJob:
     #: out-of-band observability and never touch the result JSON.
     journal_path: "Optional[str]" = None
 
+    def attempt_args(self, max_retries: int, retry_backoff: float):
+        """The :func:`attempt_job` argument tuple for this cell."""
+        return (
+            self.name, self.digest, self.spec_json, max_retries,
+            self.journal_path, retry_backoff,
+        )
+
 
 @dataclass(frozen=True)
 class JobFailure:
@@ -150,8 +147,8 @@ class JobOutcome:
     #: Total attempts the worker made for this cell (1 + retries).
     attempts: int = 1
     #: Wall-clock bounds of the cell's execution, measured *in the
-    #: worker* — so wall time excludes pool queue wait.  ``None`` when
-    #: the worker died before reporting.
+    #: worker* — so wall time excludes the wait for a free lane.
+    #: ``None`` when the worker died before reporting.
     started_at: "Optional[float]" = None
     finished_at: "Optional[float]" = None
 
@@ -171,30 +168,26 @@ OutcomeHook = Callable[[JobOutcome], None]
 
 
 def attempt_job(
-    args: "Tuple[str, str, str, int, Optional[str]]",
+    args: "Tuple[str, str, str, int, Optional[str], float]",
 ) -> "Tuple[str, Optional[str], Optional[str], Optional[str], int, float, float]":
     """Worker entry point shared by every backend.
 
-    Takes ``(name, digest, spec_json, max_retries, journal_path[,
-    retry_backoff])`` and returns ``(digest, result_json, error,
+    Takes ``(name, digest, spec_json, max_retries, journal_path,
+    retry_backoff)`` and returns ``(digest, result_json, error,
     traceback, attempts, started_at, finished_at)`` — plain picklable
-    tuples in both directions so the same function runs inline, on a
-    thread or in a pool process.  The trailing ``retry_backoff`` is
-    optional so older call sites (and journal replays of them) keep
-    working.  Exceptions never propagate: they are retried up to
-    ``max_retries`` times — sleeping :func:`backoff_delay` between
+    tuples in both directions so the same function runs inline or in
+    a lane process.  Exceptions never propagate: they are retried up
+    to ``max_retries`` times — sleeping :func:`backoff_delay` between
     attempts instead of hammering a transient resource failure in a
     tight loop — and then reported as data, so one broken cell cannot
-    take down a pool (the old behavior was a bare ``future.result()``
-    traceback with no hint of which spec died).
+    take down a sweep.
 
     The wall-clock bounds are measured here in the worker, so the
     manifest's per-cell wall time covers actual execution (including
-    retries and backoff sleeps) and never the time the job sat queued
-    behind a busy pool.
+    retries and backoff sleeps) and never the time the job waited for
+    a free lane.
     """
-    name, digest, spec_json, max_retries, journal_path, *extra = args
-    retry_backoff = float(extra[0]) if extra else 0.0
+    name, digest, spec_json, max_retries, journal_path, retry_backoff = args
     # repro: allow(DET002) wall-clock stamps feed the manifest/status view only; result payloads never carry them (the determinism harness pins this)
     started_at = time.time()
     attempts = 0
@@ -202,7 +195,7 @@ def attempt_job(
         attempts += 1
         try:
             # The chaos harness's main worker-side injection point:
-            # kill here looks like a segfault/OOM to the pool, stall
+            # kill here looks like a segfault/OOM to the lane's parent, stall
             # like a hung worker, error like a flaky cell the retry
             # budget should absorb.
             faults.faultpoint("sweep.cell", name=name)
@@ -262,6 +255,13 @@ def _outcome(job: SweepJob, reply) -> JobOutcome:
     )
 
 
+def _in_job_order(
+    outcomes: "List[JobOutcome]", jobs: "Sequence[SweepJob]"
+) -> "List[JobOutcome]":
+    order = {job.digest: index for index, job in enumerate(jobs)}
+    return sorted(outcomes, key=lambda outcome: order[outcome.job.digest])
+
+
 class ExecutionBackend(ABC):
     """Strategy interface: how a batch of sweep jobs executes."""
 
@@ -276,20 +276,16 @@ class ExecutionBackend(ABC):
         workers: int = 1,
         max_retries: int = 0,
         on_outcome: "Optional[OutcomeHook]" = None,
-        scheduling=None,
+        retry_backoff: float = 0.0,
+        cell_timeout: "Optional[float]" = None,
     ) -> "List[JobOutcome]":
         """Execute *jobs* and return one outcome per executed job.
 
-        A sharding backend may execute fewer jobs than it was given;
-        jobs it does not own simply have no outcome.  ``on_outcome``
-        fires once per outcome, from the coordinating thread, as soon
-        as that outcome is known — the runner uses it to checkpoint
-        the cache and manifest so a killed sweep loses at most the
-        cells that were mid-flight.  ``scheduling`` is an optional
-        :class:`repro.scenarios.scheduler.SchedulerConfig`; backends
-        honor the knobs they can (processes: timeouts, rebuild budget,
-        speculation; serial and queue: the retry backoff) and ignore
-        the rest.
+        ``queue`` may return fewer: cells a live peer claimed have no
+        outcome here.  ``on_outcome`` fires once per outcome, from the
+        coordinating thread, as soon as it is known, so the runner can
+        checkpoint the cache and manifest.  ``cell_timeout`` (wall
+        seconds) is enforced by ``processes`` only.
         """
 
 
@@ -300,19 +296,11 @@ class SerialBackend(ExecutionBackend):
 
     def run_jobs(
         self, jobs, *, workers=1, max_retries=0, on_outcome=None,
-        scheduling=None,
+        retry_backoff=0.0, cell_timeout=None,
     ):
-        retry_backoff = (
-            scheduling.retry_backoff if scheduling is not None else 0.0
-        )
         outcomes: "List[JobOutcome]" = []
         for job in jobs:
-            reply = attempt_job(
-                (
-                    job.name, job.digest, job.spec_json, max_retries,
-                    job.journal_path, retry_backoff,
-                )
-            )
+            reply = attempt_job(job.attempt_args(max_retries, retry_backoff))
             outcome = _outcome(job, reply)
             outcomes.append(outcome)
             if on_outcome is not None:
@@ -320,107 +308,254 @@ class SerialBackend(ExecutionBackend):
         return outcomes
 
 
-class ProcessBackend(ExecutionBackend):
-    """Process pool — the CPU-bound default (the original behavior).
+def _lane_main(conn, inherited) -> None:
+    """Child side of a lane: run jobs from *conn* until told to stop.
 
-    Execution is delegated to
-    :class:`repro.scenarios.scheduler.PoolScheduler`, which contains
-    worker crashes (one dead worker used to break the whole executor
-    and fail every in-flight and queued cell as ``worker died`` with
-    ``attempts=1``), enforces per-cell timeouts and can speculate on
-    stragglers.  Outcomes come back in original job order.
+    *inherited* holds the parent's ends of the lane pipes, which a
+    forked child has copies of; closing them lets a lane read EOF as
+    soon as its parent is gone.
+    """
+    for end in inherited:
+        end.close()
+    while True:
+        try:
+            message = conn.recv()
+        except (EOFError, OSError):
+            return
+        if message is None:
+            return
+        delay, args = message
+        # A crash or timeout retry's backoff sleeps here, in the lane,
+        # so the parent keeps feeding the other lanes.
+        time.sleep(delay)
+        # repro: allow(DET002) wall stamp for a contained death's manifest entry; never in a payload
+        started_at = time.time()
+        try:
+            # Late-bound module global, so a test's monkeypatch made
+            # before the fork reaches every lane.
+            reply = attempt_job(args)
+        except Exception as exc:  # noqa: BLE001 — reported, not hidden
+            # attempt_job never raises in production; if it does, the
+            # cell fails alone, as a contained death.
+            reply = (
+                args[1], None, f"worker died: {type(exc).__name__}: {exc}",
+                traceback_module.format_exc(), 1, started_at,
+                # repro: allow(DET002) failure finish stamp for the manifest/status view; never in a payload
+                time.time(),
+            )
+        try:
+            conn.send(reply)
+        except OSError:
+            return  # the parent is gone
+
+
+@dataclass(eq=False)
+class _Lane:
+    """The parent's view of one lane: its process and current cell."""
+
+    process: object
+    conn: object
+    #: The cell in flight (None while idle), the ``time.monotonic``
+    #: past which it is killed, and the wall stamp of its dispatch.
+    job: "Optional[SweepJob]" = None
+    deadline: "Optional[float]" = None
+    started_at: "Optional[float]" = None
+
+
+class _LaneExecutor:
+    """Runs one batch of jobs on up to ``workers`` forked lanes."""
+
+    def __init__(
+        self, workers, max_retries, on_outcome, retry_backoff,
+        cell_timeout,
+    ):
+        self.workers = workers
+        self.max_retries = max_retries
+        self.on_outcome = on_outcome
+        self.retry_backoff = retry_backoff
+        self.cell_timeout = cell_timeout
+        #: (job, backoff delay) waiting for a free lane.
+        self.pending: "deque[Tuple[SweepJob, float]]" = deque()
+        #: digest -> attempts charged here (deaths and timeouts); the
+        #: attempts a lane reports add on top.
+        self.charged: "Dict[str, int]" = {}
+        #: parent pipe end -> its lane.
+        self.lanes: "Dict[object, _Lane]" = {}
+        self.outcomes: "List[JobOutcome]" = []
+
+    def run(self, jobs: "Sequence[SweepJob]") -> "List[JobOutcome]":
+        self.pending.extend((job, 0.0) for job in jobs)
+        stopped = False
+        try:
+            while True:
+                for lane in self.lanes.values():
+                    if lane.job is None and self.pending:
+                        self._dispatch(lane)
+                while self.pending and len(self.lanes) < self.workers:
+                    self._dispatch(self._spawn())
+                busy = [
+                    lane for lane in self.lanes.values()
+                    if lane.job is not None
+                ]
+                if not busy:
+                    break
+                timeout = None
+                if self.cell_timeout is not None:
+                    nearest = min(lane.deadline for lane in busy)
+                    timeout = max(0.0, nearest - time.monotonic())
+                for conn in wait_for_lanes(
+                    [lane.conn for lane in busy], timeout
+                ):
+                    self._receive(self.lanes[conn])
+                if self.cell_timeout is not None:
+                    now = time.monotonic()
+                    for lane in busy:
+                        if lane.job is not None and lane.deadline <= now:
+                            self._time_out(lane)
+            for lane in self.lanes.values():
+                try:
+                    lane.conn.send(None)
+                except OSError:
+                    pass  # already gone
+            stopped = True
+        finally:
+            # Close every pipe before joining any lane, so no join
+            # waits on a lane whose pipe is still open.  After an
+            # exception (from on_outcome, or a KeyboardInterrupt) the
+            # lanes are killed first, so none is left an orphan.
+            for lane in self.lanes.values():
+                if not stopped:
+                    lane.process.kill()
+                lane.conn.close()
+            for lane in self.lanes.values():
+                lane.process.join()
+            self.lanes.clear()
+        return _in_job_order(self.outcomes, jobs)
+
+    def _spawn(self) -> _Lane:
+        context = multiprocessing.get_context()
+        parent_end, child_end = context.Pipe()
+        process = context.Process(
+            target=_lane_main, args=(child_end, [*self.lanes, parent_end])
+        )
+        process.start()
+        child_end.close()
+        lane = self.lanes[parent_end] = _Lane(process, parent_end)
+        return lane
+
+    def _dispatch(self, lane: _Lane) -> None:
+        job, delay = self.pending.popleft()
+        # Coordinator-side injection: a kill here takes down the whole
+        # invocation with the cell still undispatched.
+        faults.faultpoint("sched.submit", name=job.name)
+        remaining_retries = max(
+            0, self.max_retries - self.charged.get(job.digest, 0)
+        )
+        lane.job = job
+        # repro: allow(DET002) dispatch stamp for a death's manifest entry; never in a payload
+        lane.started_at = time.time()
+        if self.cell_timeout is not None:
+            lane.deadline = time.monotonic() + delay + self.cell_timeout
+        try:
+            args = job.attempt_args(remaining_retries, self.retry_backoff)
+            lane.conn.send((delay, args))
+        except OSError:
+            pass  # the lane died while idle; its EOF charges this cell
+
+    def _retire(self, lane: _Lane) -> SweepJob:
+        """Forget a dead or killed lane; returns the cell it held."""
+        del self.lanes[lane.conn]
+        lane.conn.close()
+        lane.process.join()
+        job, lane.job = lane.job, None
+        return job
+
+    def _receive(self, lane: _Lane) -> None:
+        try:
+            reply = lane.conn.recv()
+        except (EOFError, OSError):
+            # The lane died mid-cell: that cell, and no other, is
+            # charged an attempt.
+            self._charge(
+                self._retire(lane),
+                lane.started_at,
+                "worker died: the worker process exited abruptly"
+                " (segfault, OOM kill or os._exit) on every allowed"
+                " attempt",
+            )
+            return
+        job, lane.job = lane.job, None
+        # A kill here dies with the reply computed but not yet folded
+        # into the cache/manifest — resume must recompute the cell.
+        faults.faultpoint("sched.reply", name=job.name)
+        charged = self.charged.get(job.digest, 0)
+        if charged:
+            reply = list(reply)
+            reply[4] = int(reply[4]) + charged
+        self._emit(_outcome(job, reply))
+
+    def _time_out(self, lane: _Lane) -> None:
+        faults.faultpoint("sched.reap")
+        obs_metrics.count("sweep.cell_timeouts")
+        lane.process.kill()
+        self._charge(
+            self._retire(lane),
+            lane.started_at,
+            f"timeout: cell exceeded --cell-timeout"
+            f" ({self.cell_timeout:g}s wall) on every allowed attempt",
+        )
+
+    def _charge(
+        self, job: SweepJob, started_at: "Optional[float]", error: str
+    ) -> None:
+        """Charge *job* one attempt; requeue it, or emit *error*."""
+        attempts = self.charged[job.digest] = (
+            self.charged.get(job.digest, 0) + 1
+        )
+        if attempts <= self.max_retries:
+            delay = backoff_delay(attempts, self.retry_backoff)
+            self.pending.appendleft((job, delay))
+            return
+        self._emit(_outcome(job, (
+            job.digest, None, error, "", attempts, started_at,
+            # repro: allow(DET002) failure finish stamp for the manifest/status view; never in a payload
+            time.time(),
+        )))
+
+    def _emit(self, outcome: JobOutcome) -> None:
+        self.outcomes.append(outcome)
+        if self.on_outcome is not None:
+            self.on_outcome(outcome)
+
+
+class ProcessBackend(ExecutionBackend):
+    """N forked lanes — the CPU-bound default (see the module doc).
+
+    A dead lane (EOF on its pipe) or a cell past ``cell_timeout`` (its
+    lane is killed) costs exactly that cell one attempt.  Outcomes
+    come back in original job order.
     """
 
     name = "processes"
 
     def run_jobs(
         self, jobs, *, workers=1, max_retries=0, on_outcome=None,
-        scheduling=None,
+        retry_backoff=0.0, cell_timeout=None,
     ):
         if not jobs:
             return []
-        # Imported here, not at module top: the scheduler imports this
-        # module for the job protocol.
-        from repro.scenarios.scheduler import PoolScheduler, SchedulerConfig
-
-        config = scheduling or SchedulerConfig(retry_backoff=0.0)
-        if (
-            (workers == 1 or len(jobs) == 1)
-            and config.cell_timeout is None
-            and not config.speculate
-        ):
-            # One lane with no scheduling to do is just the serial
-            # loop; skip the pool overhead (and the fork) entirely.
-            # The determinism suite pins that this shortcut changes no
-            # payload byte.
+        if (workers == 1 or len(jobs) == 1) and cell_timeout is None:
+            # One lane with no timeout to enforce is just the serial
+            # loop; skip the fork entirely.  The determinism suite
+            # pins that this shortcut changes no payload byte.
             return SerialBackend().run_jobs(
                 jobs, max_retries=max_retries, on_outcome=on_outcome,
-                scheduling=scheduling,
+                retry_backoff=retry_backoff,
             )
-        scheduler = PoolScheduler(
-            make_pool=ProcessPoolExecutor,
-            reapable=True,
-            workers=min(workers, len(jobs)),
-            max_retries=max_retries,
-            on_outcome=on_outcome,
-            config=config,
-        )
-        return scheduler.run(jobs)
-
-
-def shard_of(digest: str, shard_count: int) -> int:
-    """Which shard owns a spec hash.  Pure, stable, order-free.
-
-    Keying on the digest (not the position in the spec list) means
-    ownership survives reordering, deduplication and sweep growth —
-    two invocations never compute the same cell twice, and no cell is
-    orphaned, as long as they agree on ``shard_count``.
-    """
-    if shard_count < 1:
-        raise ValueError(f"shard_count must be >= 1, got {shard_count!r}")
-    return int(digest[:8], 16) % shard_count
-
-
-class ShardedBackend(ExecutionBackend):
-    """Deterministic partition of a sweep across cooperating runs."""
-
-    name = "sharded"
-
-    def __init__(
-        self,
-        shard_index: int,
-        shard_count: int,
-        inner: "Optional[ExecutionBackend]" = None,
-    ):
-        if shard_count < 1:
-            raise ValueError(
-                f"shard count must be >= 1, got {shard_count!r}"
-            )
-        if not 0 <= shard_index < shard_count:
-            raise ValueError(
-                f"shard index must be in [0, {shard_count}),"
-                f" got {shard_index!r}"
-            )
-        self.shard_index = shard_index
-        self.shard_count = shard_count
-        self.inner = inner if inner is not None else ProcessBackend()
-
-    def owns(self, digest: str) -> bool:
-        """True when this shard is responsible for *digest*."""
-        return shard_of(digest, self.shard_count) == self.shard_index
-
-    def run_jobs(
-        self, jobs, *, workers=1, max_retries=0, on_outcome=None,
-        scheduling=None,
-    ):
-        owned = [job for job in jobs if job.digest and self.owns(job.digest)]
-        return self.inner.run_jobs(
-            owned,
-            workers=workers,
-            max_retries=max_retries,
-            on_outcome=on_outcome,
-            scheduling=scheduling,
-        )
+        return _LaneExecutor(
+            min(max(1, workers), len(jobs)), max_retries, on_outcome,
+            retry_backoff, cell_timeout,
+        ).run(jobs)
 
 
 class QueueBackend(ExecutionBackend):
@@ -448,9 +583,9 @@ class QueueBackend(ExecutionBackend):
     A cell another invocation already finished is *adopted*: its
     ``done/`` record is folded into this invocation's outcomes (and
     thereby the shared cache/manifest) without recomputation.  Cells
-    still claimed by a live peer are left to it — like a sharded
-    invocation, this one simply reports them as skipped; the peers
-    converge through the shared cache.
+    still claimed by a live peer are left to it — this invocation
+    simply reports them as skipped; the peers converge through the
+    shared cache.
 
     Stale-claim requeue ships **armed** (``stale_claim_seconds``
     defaults to :data:`DEFAULT_STALE_CLAIM_SECONDS`; pass ``None`` to
@@ -671,14 +806,11 @@ class QueueBackend(ExecutionBackend):
     # -- execution -----------------------------------------------------
     def run_jobs(
         self, jobs, *, workers=1, max_retries=0, on_outcome=None,
-        scheduling=None,
+        retry_backoff=0.0, cell_timeout=None,
     ):
         if not jobs:
             return []
         self._ensure_dirs()
-        retry_backoff = (
-            scheduling.retry_backoff if scheduling is not None else 0.0
-        )
         jobs_by_digest = {job.digest: job for job in jobs}
         for job in jobs:
             self._enqueue(job)
@@ -712,11 +844,7 @@ class QueueBackend(ExecutionBackend):
                 )
                 try:
                     reply = attempt_job(
-                        (
-                            job.name, job.digest, job.spec_json,
-                            max_retries, job.journal_path,
-                            retry_backoff,
-                        )
+                        job.attempt_args(max_retries, retry_backoff)
                     )
                 finally:
                     if lease is not None:
@@ -737,38 +865,13 @@ class QueueBackend(ExecutionBackend):
                     obs_metrics.count("queue.adopted")
                     emit(adopted)
                     progressed = True
-            if all(digest in resolved for digest in jobs_by_digest):
-                break
-            if progressed:
-                continue
-            if self._requeue_stale(
-                [d for d in jobs_by_digest if d not in resolved]
-            ):
+            if progressed or self._requeue_stale(unresolved):
                 continue
             # Everything left is claimed by a live peer: leave it to
-            # them, sharded-style — the shared cache/manifest is where
-            # the invocations converge.
+            # them — the shared cache/manifest is where the
+            # invocations converge.
             break
-        order = {job.digest: index for index, job in enumerate(jobs)}
-        outcomes.sort(key=lambda outcome: order[outcome.job.digest])
-        return outcomes
-
-
-def parse_shard(text: str) -> "Tuple[int, int]":
-    """Parse a CLI ``--shard I/N`` value into ``(index, count)``."""
-    try:
-        index_text, count_text = text.split("/", 1)
-        index, count = int(index_text), int(count_text)
-    except ValueError:
-        raise ValueError(
-            f"shard must look like I/N (e.g. 0/4), got {text!r}"
-        ) from None
-    if count < 1 or not 0 <= index < count:
-        raise ValueError(
-            f"shard index must be in [0, count) with count >= 1,"
-            f" got {text!r}"
-        )
-    return index, count
+        return _in_job_order(outcomes, jobs)
 
 
 _FACTORIES: "Dict[str, Callable[[], ExecutionBackend]]" = {
@@ -777,61 +880,37 @@ _FACTORIES: "Dict[str, Callable[[], ExecutionBackend]]" = {
 }
 
 
-#: Sentinel distinguishing "caller said nothing" from an explicit
-#: ``stale_claim_seconds=None`` (disable requeue) in make_backend.
-_STALE_UNSET = object()
-
-
 def make_backend(
     backend: "ExecutionBackend | str | None" = None,
     *,
-    shard: "Optional[Tuple[int, int]]" = None,
     queue_dir: "Optional[str]" = None,
-    stale_claim_seconds=_STALE_UNSET,
+    stale_claim_seconds: "Optional[float]" = DEFAULT_STALE_CLAIM_SECONDS,
 ) -> ExecutionBackend:
-    """Resolve a backend name/instance, optionally wrapped in a shard.
+    """Resolve a backend name or instance.
 
-    ``None`` means the default (``processes``).  ``shard=(i, n)``
-    wraps whatever was chosen in a :class:`ShardedBackend`, so
-    ``--backend serial --shard 1/4`` composes the way you'd hope.
-    ``queue`` needs *queue_dir*, the shared work directory the
-    cooperating invocations drain; ``stale_claim_seconds`` tunes its
-    requeue threshold (``None`` disables requeue; unspecified keeps
-    the armed default).
+    ``None`` means the default (``processes``).  ``queue`` needs
+    *queue_dir*, the shared work directory the cooperating invocations
+    drain; ``stale_claim_seconds`` tunes its requeue threshold
+    (``None`` disables requeue).
     """
     if isinstance(backend, ExecutionBackend):
-        resolved = backend
-    elif backend is None:
-        resolved = ProcessBackend()
-    elif backend == "sharded":
-        if shard is None:
-            raise ValueError(
-                "backend 'sharded' needs shard=(index, count)"
-                " (CLI: --shard I/N)"
-            )
-        resolved = None  # built below, around the default inner
-    elif backend == "queue":
+        return backend
+    if backend is None:
+        return ProcessBackend()
+    if backend == "queue":
         if queue_dir is None:
             raise ValueError(
                 "backend 'queue' needs queue_dir, the shared work"
                 " directory (CLI: --queue-dir, or --cache-dir to"
                 " default it to <cache-dir>/queue)"
             )
-        if stale_claim_seconds is _STALE_UNSET:
-            resolved = QueueBackend(queue_dir)
-        else:
-            resolved = QueueBackend(
-                queue_dir, stale_claim_seconds=stale_claim_seconds
-            )
-    else:
-        try:
-            resolved = _FACTORIES[backend]()
-        except KeyError:
-            raise ValueError(
-                f"unknown execution backend {backend!r}; choose from:"
-                f" {', '.join(BACKEND_NAMES)}"
-            ) from None
-    if shard is not None:
-        index, count = shard
-        return ShardedBackend(index, count, inner=resolved)
-    return resolved
+        return QueueBackend(
+            queue_dir, stale_claim_seconds=stale_claim_seconds
+        )
+    try:
+        return _FACTORIES[backend]()
+    except KeyError:
+        raise ValueError(
+            f"unknown execution backend {backend!r}; choose from:"
+            f" {', '.join(BACKEND_NAMES)}"
+        ) from None

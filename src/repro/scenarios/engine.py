@@ -288,7 +288,7 @@ def run_scenario_json(
 ) -> str:
     """Worker entry point for the execution backends: JSON in, JSON out.
 
-    Every backend — inline, process pool, work queue — funnels sweep
+    Every backend — inline, forked lanes, work queue — funnels sweep
     cells through this one function, so the spec/result JSON text is
     the *entire* contract between coordinator and worker.  That keeps
     the multiprocessing surface to two strings and turns determinism

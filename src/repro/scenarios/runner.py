@@ -4,9 +4,8 @@ A sweep is just a list of specs — typically one scenario expanded over
 N seeds (:func:`expand_seeds`) or several registry entries.  The
 runner keys a JSON result cache on the stable spec hash, farms the
 misses out to an :class:`~repro.scenarios.backends.ExecutionBackend`
-(serial / processes / sharded / queue — see
-:mod:`repro.scenarios.backends`), and reports what happened in a
-:class:`SweepReport`.
+(serial / processes / queue — see :mod:`repro.scenarios.backends`),
+and reports what happened in a :class:`SweepReport`.
 
 Three properties make large campaigns survivable:
 
@@ -20,16 +19,17 @@ Three properties make large campaigns survivable:
   (Ctrl-C, OOM, a dead machine) resumes with
   :func:`resume_sweep`/``repro scenario sweep --resume`` and
   recomputes only the missing or failed cells.
-* **Sharding** — a :class:`~repro.scenarios.backends.ShardedBackend`
-  makes N independent invocations over a shared ``cache_dir``
-  converge to the same results as one serial run, because cell
-  ownership is a pure function of the spec hash and completed cells
-  meet in the cache.
+* **Cooperation** — a :class:`~repro.scenarios.backends.QueueBackend`
+  makes N independent invocations over a shared work dir and
+  ``cache_dir`` converge to the same results as one serial run:
+  each cell is claimed exactly once, and completed cells meet in the
+  cache.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -45,8 +45,7 @@ from repro.scenarios.backends import (
     SweepJob,
     make_backend,
 )
-from repro.scenarios.engine import ScenarioResult, run_scenario_json
-from repro.scenarios.scheduler import SchedulerConfig
+from repro.scenarios.engine import ScenarioResult
 from repro.scenarios.serialize import (
     failure_from_dict,
     failure_to_dict,
@@ -92,6 +91,11 @@ MANIFEST_VERSION = "v1"
 #: Additive per-cell bookkeeping keys carried by the manifest.
 _TIMING_KEYS = ("attempts", "started_at", "finished_at")
 
+#: Default base of the deterministic exponential backoff between
+#: retries of a failing cell (seconds); doubles per attempt, see
+#: :func:`repro.scenarios.backends.backoff_delay`.
+DEFAULT_RETRY_BACKOFF = 0.1
+
 
 def expand_seeds(
     spec: ScenarioSpec, seeds: "Iterable[int]"
@@ -101,11 +105,6 @@ def expand_seeds(
         replace(spec, name=f"{spec.name}@seed{seed}", seed=seed)
         for seed in seeds
     ]
-
-
-#: Backwards-compatible alias: the pool entry point moved to the
-#: engine layer so every backend shares one worker function.
-_run_spec_json = run_scenario_json
 
 
 class SweepFailureError(RuntimeError):
@@ -136,9 +135,8 @@ class SweepReport:
     #: Cells that kept failing after every retry (the sweep still
     #: completed every other cell).
     failures: "List[JobFailure]" = field(default_factory=list)
-    #: Cells owned by other shards of a sharded sweep — not computed
-    #: here, expected to arrive in the shared cache from cooperating
-    #: invocations.
+    #: Cells claimed by a live ``queue`` peer — not computed here,
+    #: expected to arrive in the shared cache from that invocation.
     skipped: int = 0
     #: digest -> worker-measured wall seconds, for cells computed this
     #: invocation (cache hits cost no wall time and are absent).
@@ -171,8 +169,7 @@ class SweepReport:
         values = sorted(self.cell_wall_seconds.values())
         if not values:
             return None
-        rank = min(len(values) - 1, int(fraction * len(values)))
-        return values[rank]
+        return values[max(0, math.ceil(fraction * len(values)) - 1)]
 
     def retried_cells(self) -> int:
         """How many computed cells needed more than one attempt."""
@@ -202,10 +199,10 @@ class SweepManifest:
     manifest alone, no CLI arguments to repeat.
 
     Cells accumulate across invocations sharing the cache dir (that is
-    what lets shards cooperate); states only ever move forward
-    (``pending`` -> ``failed`` -> ``done``), never back — including
+    what lets queue invocations cooperate); states only ever move
+    forward (``pending`` -> ``failed`` -> ``done``), never back — including
     across *concurrent* invocations: :meth:`save` re-reads the on-disk
-    manifest and merges before replacing it, so two shards
+    manifest and merges before replacing it, so two invocations
     checkpointing into the same file cannot erase each other's
     progress.
 
@@ -252,9 +249,9 @@ class SweepManifest:
     def _merge_disk_state(self) -> None:
         """Fold a concurrent invocation's progress into our cells.
 
-        Another shard may have checkpointed since we loaded; whoever
-        writes last must not demote the other's ``done``/``failed``
-        marks back to what we saw at load time.
+        Another invocation may have checkpointed since we loaded;
+        whoever writes last must not demote the other's
+        ``done``/``failed`` marks back to what we saw at load time.
         """
         on_disk = SweepManifest.load(self.cache_dir)
         rank = self._STATE_RANK
@@ -281,7 +278,7 @@ class SweepManifest:
                             ours[key] = cell[key]
             else:
                 # Equal or behind on state: still adopt timing we lack
-                # (another shard computed the cell; we only cached it).
+                # (another invocation computed the cell; we only cached it).
                 for key in _TIMING_KEYS:
                     if key in cell and key not in ours:
                         ours[key] = cell[key]
@@ -395,8 +392,6 @@ class SweepRunner:
         on_outcome: "Optional[OutcomeHook]" = None,
         cell_timeout: "Optional[float]" = None,
         retry_backoff: "Optional[float]" = None,
-        pool_rebuilds: "Optional[int]" = None,
-        speculate: bool = False,
     ):
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers!r}")
@@ -404,28 +399,24 @@ class SweepRunner:
             raise ValueError(
                 f"max_retries must be >= 0, got {max_retries!r}"
             )
+        if cell_timeout is not None and cell_timeout <= 0:
+            raise ValueError(
+                f"cell_timeout must be > 0, got {cell_timeout!r}"
+            )
+        if retry_backoff is None:
+            retry_backoff = DEFAULT_RETRY_BACKOFF
+        if retry_backoff < 0:
+            raise ValueError(
+                f"retry_backoff must be >= 0, got {retry_backoff!r}"
+            )
         self.workers = workers or (os.cpu_count() or 1)
         self.cache_dir = cache_dir
         self.backend = make_backend(backend)
         self.max_retries = max_retries
-        #: Scheduling knobs handed to the backend wholesale — pool
-        #: backends honor all of them, serial/queue apply the backoff.
-        defaults = SchedulerConfig()
-        self.scheduling = SchedulerConfig(
-            cell_timeout=cell_timeout,
-            retry_backoff=(
-                defaults.retry_backoff
-                if retry_backoff is None
-                else retry_backoff
-            ),
-            pool_rebuilds=(
-                defaults.pool_rebuilds
-                if pool_rebuilds is None
-                else pool_rebuilds
-            ),
-            speculate=speculate,
-        )
-        self.scheduling.validate()
+        #: Wall seconds a ``processes`` lane may spend on one cell
+        #: before it is killed and the cell charged an attempt.
+        self.cell_timeout = cell_timeout
+        self.retry_backoff = retry_backoff
         #: Observer fired per computed cell, after the cache/manifest
         #: checkpoint — the CLI's ``--progress`` stream hangs off it.
         self.on_outcome = on_outcome
@@ -552,7 +543,8 @@ class SweepRunner:
             workers=self.workers,
             max_retries=self.max_retries,
             on_outcome=checkpoint,
-            scheduling=self.scheduling,
+            retry_backoff=self.retry_backoff,
+            cell_timeout=self.cell_timeout,
         )
         if manifest is not None:
             manifest.save()
@@ -566,52 +558,26 @@ class SweepRunner:
 
 
 def run_sweep(
-    specs: "Sequence[ScenarioSpec]",
-    *,
-    workers: "Optional[int]" = None,
-    cache_dir: "Optional[str]" = None,
-    backend: "ExecutionBackend | str | None" = None,
-    max_retries: int = 0,
-    on_outcome: "Optional[OutcomeHook]" = None,
-    cell_timeout: "Optional[float]" = None,
-    retry_backoff: "Optional[float]" = None,
-    pool_rebuilds: "Optional[int]" = None,
-    speculate: bool = False,
+    specs: "Sequence[ScenarioSpec]", **options
 ) -> SweepReport:
-    """One-shot convenience wrapper around :class:`SweepRunner`."""
-    return SweepRunner(
-        workers=workers,
-        cache_dir=cache_dir,
-        backend=backend,
-        max_retries=max_retries,
-        on_outcome=on_outcome,
-        cell_timeout=cell_timeout,
-        retry_backoff=retry_backoff,
-        pool_rebuilds=pool_rebuilds,
-        speculate=speculate,
-    ).run(specs)
+    """One-shot convenience wrapper: ``SweepRunner(**options).run``.
+
+    *options* are :class:`SweepRunner`'s keyword arguments, which
+    declare every sweep knob once.
+    """
+    return SweepRunner(**options).run(specs)
 
 
-def resume_sweep(
-    cache_dir: str,
-    *,
-    workers: "Optional[int]" = None,
-    backend: "ExecutionBackend | str | None" = None,
-    max_retries: int = 0,
-    on_outcome: "Optional[OutcomeHook]" = None,
-    cell_timeout: "Optional[float]" = None,
-    retry_backoff: "Optional[float]" = None,
-    pool_rebuilds: "Optional[int]" = None,
-    speculate: bool = False,
-) -> SweepReport:
+def resume_sweep(cache_dir: str, **options) -> SweepReport:
     """Finish a sweep recorded in *cache_dir*'s manifest.
 
     Re-derives the full spec list from ``sweep.json`` — no need to
-    repeat the original scenario name, seeds or shard arguments — and
-    runs it: ``done`` cells are cache hits, ``pending``/``failed``
-    cells (and cells whose cache file was lost mid-write) are the only
-    ones recomputed.  The returned report therefore converges to what
-    one uninterrupted run would have produced.
+    repeat the original scenario name or seeds — and runs it with
+    :class:`SweepRunner`'s keyword *options*: ``done`` cells are cache
+    hits, ``pending``/``failed`` cells (and cells whose cache file was
+    lost mid-write) are the only ones recomputed.  The returned report
+    therefore converges to what one uninterrupted run would have
+    produced.
     """
     manifest = SweepManifest.load(cache_dir)
     if not manifest.cells:
@@ -619,14 +585,4 @@ def resume_sweep(
             f"no resumable sweep: {os.path.join(cache_dir, MANIFEST_NAME)}"
             " is missing or empty"
         )
-    return SweepRunner(
-        workers=workers,
-        cache_dir=cache_dir,
-        backend=backend,
-        max_retries=max_retries,
-        on_outcome=on_outcome,
-        cell_timeout=cell_timeout,
-        retry_backoff=retry_backoff,
-        pool_rebuilds=pool_rebuilds,
-        speculate=speculate,
-    ).run(manifest.specs())
+    return SweepRunner(cache_dir=cache_dir, **options).run(manifest.specs())

@@ -1,10 +1,10 @@
 """Cross-backend determinism: every backend, byte-identical payloads.
 
 The execution backends are pure transport — where a sweep cell runs
-(inline, pool process, which shard) must never leak into the
+(inline, a forked lane, a queue claimant) must never leak into the
 result.  This suite pins that down at the strongest level available:
 the serialized ``result_to_json`` payload, byte for byte, for the same
-spec across all four backends and across worker counts, over a smoke
+spec across all three backends and across worker counts, over a smoke
 subset of the registry kinds (internet, ablation what-if, lab, and
 mrt replay of a simulator-spilled archive).
 """
@@ -20,15 +20,12 @@ from repro.scenarios import (
     QueueBackend,
     ScenarioSpec,
     SerialBackend,
-    ShardedBackend,
     SweepRunner,
     expand_seeds,
     get_scenario,
     result_to_json,
     run_scenario,
     run_sweep,
-    shard_of,
-    spec_hash,
 )
 
 TINY_TOPOLOGY = dict(
@@ -45,7 +42,7 @@ TINY_TOPOLOGY = dict(
 )
 
 SMOKE_KEYS = ("internet", "ablation", "lab", "mrt")
-BACKEND_KEYS = ("serial", "processes", "sharded", "queue")
+BACKEND_KEYS = ("serial", "processes", "queue")
 
 
 @pytest.fixture(scope="module")
@@ -108,17 +105,12 @@ def smoke_spec(key: str, spilled_archive: str) -> ScenarioSpec:
     )
 
 
-def make_smoke_backend(key: str, spec: ScenarioSpec, work_dir: str):
+def make_smoke_backend(key: str, work_dir: str):
     if key == "serial":
         return SerialBackend()
     if key == "processes":
         return ProcessBackend()
-    if key == "queue":
-        return QueueBackend(work_dir)
-    # The shard that owns this spec, so the single-cell sweep runs.
-    return ShardedBackend(
-        shard_of(spec_hash(spec), 2), 2, inner=SerialBackend()
-    )
+    return QueueBackend(work_dir)
 
 
 @pytest.fixture(scope="module")
@@ -141,7 +133,7 @@ def test_payload_byte_identical_across_backends(
     spec_key, backend_key, spilled_archive, reference_payloads, tmp_path
 ):
     spec = smoke_spec(spec_key, spilled_archive)
-    backend = make_smoke_backend(backend_key, spec, str(tmp_path / "q"))
+    backend = make_smoke_backend(backend_key, str(tmp_path / "q"))
     report = SweepRunner(workers=1, backend=backend).run([spec])
     assert not report.failures
     assert len(report.results) == 1
@@ -167,32 +159,6 @@ def test_payload_byte_identical_across_worker_counts(
         result_to_json(result) for result in report.results
     ]
     assert payload(one) == payload(four)
-
-
-def test_sharded_halves_reassemble_the_serial_sweep(
-    spilled_archive, tmp_path
-):
-    # Two cooperating shard invocations over a shared cache produce,
-    # in the end, byte-identical payloads to one serial run.
-    cache = str(tmp_path / "cache")
-    specs = expand_seeds(
-        smoke_spec("internet", spilled_archive), (1, 2, 3, 4)
-    )
-    serial = run_sweep(specs, workers=1, backend="serial")
-    for index in range(2):
-        run_sweep(
-            specs,
-            workers=1,
-            backend=ShardedBackend(index, 2, inner=SerialBackend()),
-            cache_dir=cache,
-        )
-    converged = run_sweep(
-        specs, workers=1, backend="serial", cache_dir=cache
-    )
-    assert converged.cache_hits == len(specs)
-    assert [result_to_json(result) for result in converged.results] == [
-        result_to_json(result) for result in serial.results
-    ]
 
 
 def test_queue_invocations_reassemble_the_serial_sweep(

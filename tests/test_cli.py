@@ -110,14 +110,11 @@ class TestScenarioParser:
                 "internet-small",
                 "--backend",
                 "serial",
-                "--shard",
-                "0/2",
                 "--max-retries",
                 "2",
             ]
         )
         assert arguments.backend == "serial"
-        assert arguments.shard == "0/2"
         assert arguments.max_retries == 2
         assert not arguments.resume
 
@@ -272,13 +269,27 @@ class TestScenarioCommand:
         assert "scenario name" in capsys.readouterr().err
 
     def test_sweep_bad_shard_rejected(self, capsys):
-        assert (
-            main(
-                ["scenario", "sweep", "lab-junos", "--shard", "5/2"]
-            )
-            == 2
+        # --shard is gone (the queue backend partitions a sweep
+        # dynamically); any value is now an unknown argument.
+        with pytest.raises(SystemExit) as info:
+            main(["scenario", "sweep", "lab-junos", "--shard", "5/2"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --shard" in (
+            capsys.readouterr().err
         )
-        assert "shard" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag", [["--speculate"], ["--pool-rebuilds", "1"]]
+    )
+    def test_removed_scheduler_flags_rejected(self, flag, capsys):
+        # Forked lanes attribute every death and timeout exactly, so
+        # the pool-rebuild budget and straggler speculation are gone.
+        with pytest.raises(SystemExit) as info:
+            main(["scenario", "sweep", "lab-junos", *flag])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag[0]}" in (
+            capsys.readouterr().err
+        )
 
     def test_sweep_failure_reported_with_spec_context(self, capsys):
         # mrt-replay cells have no --input in a sweep, so every cell

@@ -1,4 +1,4 @@
-"""Execution backends: selection, sharding, fault tolerance, resume."""
+"""Execution backends: selection, fault tolerance, resume."""
 
 import json
 import os
@@ -9,21 +9,17 @@ from repro.scenarios import (
     BACKEND_NAMES,
     InternetSpec,
     MrtSpec,
-    ProcessBackend,
     ScenarioSpec,
     SerialBackend,
-    ShardedBackend,
     SweepFailureError,
     SweepManifest,
     SweepRunner,
     expand_seeds,
     make_backend,
-    parse_shard,
     register,
     resume_sweep,
     run_sweep,
     get_scenario,
-    shard_of,
     spec_hash,
     unregister,
 )
@@ -80,73 +76,15 @@ class TestMakeBackend:
         with pytest.raises(ValueError, match="unknown execution backend"):
             make_backend("carrier-pigeon")
 
-    def test_shard_wraps_any_backend(self):
-        backend = make_backend("processes", shard=(1, 3))
-        assert isinstance(backend, ShardedBackend)
-        assert backend.name == "sharded"
-        assert isinstance(backend.inner, ProcessBackend)
-
-    def test_sharded_name_needs_shard(self):
-        with pytest.raises(ValueError, match="sharded"):
-            make_backend("sharded")
-        backend = make_backend("sharded", shard=(0, 2))
-        assert isinstance(backend.inner, ProcessBackend)
-
     def test_all_names_are_constructible(self, tmp_path):
         for name in BACKEND_NAMES:
-            shard = (0, 1) if name == "sharded" else None
             queue_dir = str(tmp_path / "queue") if name == "queue" else None
-            backend = make_backend(name, shard=shard, queue_dir=queue_dir)
-            assert backend.name in BACKEND_NAMES
+            backend = make_backend(name, queue_dir=queue_dir)
+            assert backend.name == name
 
     def test_queue_name_needs_work_dir(self):
         with pytest.raises(ValueError, match="queue"):
             make_backend("queue")
-
-
-class TestParseShard:
-    def test_valid(self):
-        assert parse_shard("0/4") == (0, 4)
-        assert parse_shard("3/4") == (3, 4)
-
-    @pytest.mark.parametrize(
-        "text", ["", "4", "4/3", "-1/3", "a/b", "1/0", "1/-2"]
-    )
-    def test_invalid_rejected(self, text):
-        with pytest.raises(ValueError):
-            parse_shard(text)
-
-
-class TestShardPartition:
-    def test_every_digest_owned_by_exactly_one_shard(self):
-        digests = [
-            spec_hash(spec)
-            for spec in expand_seeds(tiny_spec(), range(20))
-        ]
-        for count in (1, 2, 3, 5):
-            for digest in digests:
-                owners = [
-                    index
-                    for index in range(count)
-                    if ShardedBackend(index, count).owns(digest)
-                ]
-                assert owners == [shard_of(digest, count)]
-
-    def test_ownership_is_order_free(self):
-        # Keying on the digest (not list position) means reordering or
-        # growing the sweep can never reassign a cell mid-campaign.
-        spec = tiny_spec(3)
-        assert shard_of(spec_hash(spec), 4) == shard_of(
-            spec_hash(spec), 4
-        )
-
-    def test_bad_shard_arguments_rejected(self):
-        with pytest.raises(ValueError):
-            ShardedBackend(2, 2)
-        with pytest.raises(ValueError):
-            ShardedBackend(-1, 2)
-        with pytest.raises(ValueError):
-            ShardedBackend(0, 0)
 
 
 class TestFaultTolerance:
@@ -221,11 +159,10 @@ class TestFaultTolerance:
     def test_dead_worker_becomes_a_failure_not_an_abort(
         self, monkeypatch
     ):
-        # attempt_job never raises, so an exception out of
-        # future.result() means the worker process itself died
-        # (BrokenProcessPool after a segfault/OOM kill).  The pool
-        # forks after the patch and pickles the entry point by name,
-        # so every worker runs the module-level dying_worker.
+        # attempt_job never raises in production; if it does, the
+        # lane reports a contained death for that cell alone.  The
+        # lanes fork after the patch, so every lane runs the
+        # module-level dying_worker.
         import repro.scenarios.backends as backends_module
 
         monkeypatch.setattr(
@@ -259,47 +196,6 @@ class TestFaultTolerance:
         )
         assert again.cache_hits == 0
         assert again.cache_misses == 1
-
-
-class TestShardedConvergence:
-    def test_n_invocations_converge_to_the_serial_sweep(self, tmp_path):
-        cache = str(tmp_path / "cache")
-        specs = expand_seeds(tiny_spec(), (1, 2, 3, 4))
-        baseline = run_sweep(specs, workers=1, backend="serial")
-        skipped_total = 0
-        for index in range(3):
-            backend = ShardedBackend(index, 3, inner=SerialBackend())
-            report = run_sweep(
-                specs, workers=1, backend=backend, cache_dir=cache
-            )
-            skipped_total += report.skipped
-        # Every cell computed exactly once across the three shards.
-        final = run_sweep(
-            specs, workers=1, backend="serial", cache_dir=cache
-        )
-        assert final.cache_hits == len(specs)
-        assert final.cache_misses == 0
-        assert final.by_name().keys() == baseline.by_name().keys()
-        for name, result in baseline.by_name().items():
-            assert final.by_name()[name].metrics == result.metrics
-            assert final.by_name()[name].spec_hash == result.spec_hash
-
-    def test_single_shard_reports_skipped_cells(self, tmp_path):
-        specs = expand_seeds(tiny_spec(), (1, 2, 3, 4))
-        digests = [spec_hash(spec) for spec in specs]
-        index = shard_of(digests[0], 2)
-        report = run_sweep(
-            specs,
-            workers=1,
-            backend=ShardedBackend(index, 2, inner=SerialBackend()),
-            cache_dir=str(tmp_path / "cache"),
-        )
-        owned = sum(
-            1 for digest in digests if shard_of(digest, 2) == index
-        )
-        assert report.cache_misses == owned
-        assert report.skipped == len(specs) - owned
-        assert len(report.results) == owned
 
 
 class TestManifestAndResume:
@@ -372,20 +268,20 @@ class TestManifestAndResume:
     def test_concurrent_saves_merge_instead_of_clobbering(
         self, tmp_path
     ):
-        # Two shard invocations hold independent in-memory manifests
+        # Two invocations hold independent in-memory manifests
         # loaded before either wrote; whoever saves last must keep the
         # other's progress (states only move forward).
         cache = str(tmp_path / "cache")
         specs = expand_seeds(tiny_spec(), (1, 2))
         digests = [spec_hash(spec) for spec in specs]
-        shard_a = SweepManifest.load(cache)
-        shard_a.record(specs, digests)
-        shard_b = SweepManifest.load(cache)
-        shard_b.record(specs, digests)
-        shard_a.mark(digests[0], "done")
-        shard_a.save()
-        shard_b.mark(digests[1], "done")
-        shard_b.save()  # last writer — must not demote A's cell
+        first = SweepManifest.load(cache)
+        first.record(specs, digests)
+        second = SweepManifest.load(cache)
+        second.record(specs, digests)
+        first.mark(digests[0], "done")
+        first.save()
+        second.mark(digests[1], "done")
+        second.save()  # last writer — must not demote the first's cell
         merged = SweepManifest.load(cache)
         assert merged.states() == {
             digests[0]: "done",

@@ -10,6 +10,7 @@ from repro.scenarios import (
     InternetSpec,
     LabSpec,
     ScenarioSpec,
+    SweepReport,
     SweepRunner,
     expand_seeds,
     run_sweep,
@@ -243,3 +244,47 @@ class TestRunnerArguments:
         with pytest.raises(ScenarioValidationError):
             run_sweep([bad], workers=1, cache_dir=str(tmp_path))
         assert not os.listdir(str(tmp_path))
+
+
+def report_with_walls(walls) -> SweepReport:
+    return SweepReport(
+        results=[],
+        workers=1,
+        cell_wall_seconds={f"d{i}": wall for i, wall in enumerate(walls)},
+    )
+
+
+class TestCellSecondsPercentile:
+    """Nearest rank: the smallest value with at least p of all at or
+    below it, i.e. ``values[ceil(p * n) - 1]``."""
+
+    @pytest.mark.parametrize(
+        "walls, fraction, expected",
+        [
+            ([1.0, 2.0], 0.0, 1.0),
+            ([1.0, 2.0], 0.5, 1.0),
+            ([1.0, 2.0], 0.75, 2.0),
+            ([1.0, 2.0], 1.0, 2.0),
+            ([3.0, 1.0, 2.0], 0.0, 1.0),
+            ([3.0, 1.0, 2.0], 0.5, 2.0),
+            ([3.0, 1.0, 2.0], 0.75, 3.0),
+            ([3.0, 1.0, 2.0], 1.0, 3.0),
+            ([float(n) for n in range(1, 25)], 0.5, 12.0),
+            ([float(n) for n in range(1, 25)], 0.75, 18.0),
+            ([float(n) for n in range(1, 25)], 1.0, 24.0),
+            ([7.0], 0.0, 7.0),
+            ([7.0], 0.5, 7.0),
+            ([7.0], 1.0, 7.0),
+        ],
+    )
+    def test_nearest_rank(self, walls, fraction, expected):
+        report = report_with_walls(walls)
+        assert report.cell_seconds_percentile(fraction) == expected
+
+    def test_nothing_computed_is_none(self):
+        assert report_with_walls([]).cell_seconds_percentile(0.5) is None
+
+    @pytest.mark.parametrize("fraction", [-0.1, 1.5])
+    def test_fraction_out_of_range_rejected(self, fraction):
+        with pytest.raises(ValueError, match="fraction"):
+            report_with_walls([1.0]).cell_seconds_percentile(fraction)

@@ -1,38 +1,42 @@
-"""The sweep scheduler: crash containment, timeouts, backoff, queue.
+"""Sweep scheduling: crash containment, timeouts, backoff, queue.
 
-The regression at the heart of this suite: one abruptly-dead worker
-(``os._exit``, as a segfault or OOM kill looks to the pool) used to
-break the whole ``ProcessPoolExecutor`` and fail *every* in-flight and
-queued cell as ``worker died`` with ``attempts=1``.  These tests pin
-the repaired behavior — siblings survive, the killer is charged
-exactly, timeouts reap, retries back off deterministically — plus the
+The ``processes`` backend runs cells on forked lanes and always knows
+which cell each lane holds.  These tests pin what that buys: one
+abruptly-dead lane (``os._exit``, as a segfault or OOM kill looks to
+its parent) costs exactly its own cell one attempt, a timeout kills
+exactly the stuck cell's lane, siblings run exactly once, retries back
+off deterministically, and no lane outlives ``run_jobs`` — plus the
 ``queue`` backend's exactly-once claims.
 
 Fault injection is plan-driven: a JSON :class:`repro.faults.FaultPlan`
 armed through ``REPRO_FAULT_PLAN`` so the faults reach real forked
-pool workers, exactly as ``scripts/ci.sh`` arms them.
+lanes, exactly as ``scripts/ci.sh`` arms them.
 """
 
 import json
+import multiprocessing
 import threading
 import time
+from collections import Counter
 
 import pytest
 
 from repro import faults
 from repro.scenarios import backends as backends_module
 from repro.scenarios import (
+    ProcessBackend,
     QueueBackend,
     SweepJob,
+    SweepRunner,
     backoff_delay,
     expand_seeds,
     get_scenario,
     resume_sweep,
     run_sweep,
     spec_hash,
+    spec_to_json,
 )
 from repro.scenarios.runner import SweepManifest
-from repro.scenarios.scheduler import PoolScheduler, SchedulerConfig
 
 #: The cheapest registry scenario (~ms per cell) — crash/timeout
 #: mechanics dominate the wall time, not the simulations.
@@ -54,8 +58,8 @@ def _fresh_fault_state():
 def arm_plan(monkeypatch, tmp_path, rules, *, seed=0):
     """Write a fault plan file and arm it via ``REPRO_FAULT_PLAN``.
 
-    The env route (not ``set_fault_plan``) is deliberate: forked pool
-    workers inherit the environment, so the plan reaches them exactly
+    The env route (not ``set_fault_plan``) is deliberate: forked lanes
+    inherit the environment, so the plan reaches them exactly
     as it does under ``scripts/ci.sh`` — and the plan-file-adjacent
     ``state_dir`` gives count-limited rules exactly-once semantics
     *across* those processes.
@@ -130,34 +134,35 @@ class TestAttemptJobBackoff:
 
 
 class TestSchedulerConfig:
+    """The sweep's scheduling knobs, validated by ``SweepRunner``."""
+
     @pytest.mark.parametrize(
         "kwargs",
         [
             dict(cell_timeout=0.0),
             dict(cell_timeout=-1.0),
             dict(retry_backoff=-0.1),
-            dict(pool_rebuilds=-1),
-            dict(straggler_factor=0.0),
-            dict(min_straggler_samples=0),
-            dict(poll_interval=0.0),
         ],
     )
     def test_rejects_bad_knobs(self, kwargs):
         with pytest.raises(ValueError):
-            SchedulerConfig(**kwargs).validate()
+            SweepRunner(**kwargs)
 
     def test_defaults_validate(self):
-        SchedulerConfig().validate()
+        runner = SweepRunner()
+        assert runner.cell_timeout is None
+        assert runner.retry_backoff == 0.1
 
 
 class TestDeadWorkerCascade:
-    """The tentpole: one dead worker must not fail its siblings."""
+    """One dead lane must not fail its siblings."""
 
-    def test_transient_kill_survived_by_pool_rebuild(
+    def test_transient_kill_survived_by_a_retry(
         self, monkeypatch, tmp_path
     ):
-        # The worker picking up seed2 os._exits once; the rebuilt pool
-        # completes the whole sweep with zero failures.
+        # The lane picking up seed2 os._exits once; the death costs
+        # seed2 one attempt, its retry on a fresh lane succeeds, and
+        # the sweep completes with zero failures.
         arm_plan(
             monkeypatch,
             tmp_path,
@@ -170,22 +175,25 @@ class TestDeadWorkerCascade:
                 }
             ],
         )
+        specs = cheap_specs((1, 2, 3))
         report = run_sweep(
-            cheap_specs((1, 2, 3)),
+            specs,
             workers=2,
             backend="processes",
             cache_dir=str(tmp_path / "cache"),
+            max_retries=1,
+            retry_backoff=0.01,
         )
         assert report.failures == []
         assert len(report.results) == 3
+        assert report.cell_attempts[spec_hash(specs[1])] == 2
 
     def test_deterministic_crasher_fails_alone(
         self, monkeypatch, tmp_path
     ):
-        # No count: the cell kills its worker on *every* attempt.
-        # Rebuild budget spends, isolation attributes the crash, and
-        # exactly that cell fails while both siblings complete — the
-        # pre-fix behavior was three "worker died" failures.
+        # No count: the cell kills its lane on *every* attempt.  The
+        # parent charges exactly that cell, which fails while both
+        # siblings complete.
         specs = cheap_specs((1, 2, 3))
         arm_plan(
             monkeypatch,
@@ -247,16 +255,17 @@ class TestDeadWorkerCascade:
         assert second.cache_hits == 1  # the innocent sibling
         digest = spec_hash(specs[0])
         attempts = SweepManifest.load(cache).cells[digest]["attempts"]
-        # The crash run reports 2 (the isolation-charged crash + the
-        # final fatal attempt); the clean resume adds its 1.  The
-        # pre-fix behavior reset the count to 1 on success.
-        assert attempts == 3
+        # The crash run reports its 1 charged attempt; the clean
+        # resume adds its 1.  Attempts accumulate across --resume
+        # instead of resetting to 1 on success.
+        assert attempts == 2
 
 
 class TestCellTimeout:
     def test_stuck_cell_reaped_and_reported(self, monkeypatch, tmp_path):
-        # seed2's worker stalls 60s; with a 1s budget it is reaped and
-        # lands as a `timeout:` failure while the siblings finish.
+        # seed2's lane stalls 60s; with a 1s budget it is killed and
+        # seed2 lands as a `timeout:` failure while the siblings
+        # finish.
         arm_plan(
             monkeypatch,
             tmp_path,
@@ -290,8 +299,8 @@ class TestCellTimeout:
         self, monkeypatch, tmp_path
     ):
         # The stall fires once; with one retry the cell completes on
-        # its second attempt, and the charged (reaped) first attempt
-        # shows up in the attempt count.
+        # its second attempt, and the charged (timed-out) first
+        # attempt shows up in the attempt count.
         arm_plan(
             monkeypatch,
             tmp_path,
@@ -320,125 +329,174 @@ class TestCellTimeout:
         assert report.cell_attempts[spec_hash(specs[1])] == 2
 
 
-def reply_ok(digest, wall=0.05):
-    """A canned successful worker reply with a pinned wall time."""
-    return (
-        digest, json.dumps({"cell": digest}), None, None, 1, 0.0, wall,
+#: Where counting_attempt_job appends one digest per execution; set by
+#: the ``executions`` fixture before any lane forks.
+EXECUTIONS_LOG = None
+
+REAL_ATTEMPT_JOB = backends_module.attempt_job
+
+
+def counting_attempt_job(args):
+    """Log the cell's digest, then run the real entry point.
+
+    It runs in forked lanes, so it counts into a file the parent can
+    read rather than an in-memory list, and it is module-level (like
+    ``dying_worker`` in ``test_scenarios_backends``) so the lanes
+    reach it by name through the patched module.
+    """
+    with open(EXECUTIONS_LOG, "a", encoding="utf-8") as log:
+        log.write(args[1] + "\n")
+    return REAL_ATTEMPT_JOB(args)
+
+
+@pytest.fixture
+def executions(monkeypatch, tmp_path):
+    """Count executions per digest across every lane process."""
+    log = tmp_path / "executions.log"
+    log.write_text("")
+    monkeypatch.setitem(globals(), "EXECUTIONS_LOG", str(log))
+    monkeypatch.setattr(
+        backends_module, "attempt_job", counting_attempt_job
     )
+    return lambda: Counter(log.read_text().split())
 
 
-class TestPoolSchedulerUnit:
-    """Thread-pool unit tests with a scripted attempt_job."""
+def raising_for_seed2(args):
+    """An entry point that raises (never returns) for seed2 only."""
+    if args[0] == f"{CHEAP}@seed2":
+        raise RuntimeError("boom")
+    return REAL_ATTEMPT_JOB(args)
 
-    def make_scheduler(self, config, *, workers=2, max_retries=0):
-        from concurrent.futures import ThreadPoolExecutor
 
-        return PoolScheduler(
-            make_pool=lambda n: ThreadPoolExecutor(max_workers=n),
-            reapable=False,
-            workers=workers,
-            max_retries=max_retries,
-            config=config,
+def cheap_jobs(seeds):
+    return [
+        SweepJob(
+            digest=spec_hash(spec),
+            name=spec.name,
+            spec_json=spec_to_json(spec, indent=None),
         )
+        for spec in cheap_specs(seeds)
+    ]
+
+
+def stall_rule(seed, seconds):
+    return {
+        "site": "sweep.cell",
+        "match": f"{CHEAP}@seed{seed}",
+        "action": "stall",
+        "seconds": seconds,
+    }
+
+
+class TestExactAttribution:
+    """A death or a timeout is charged to exactly one cell."""
+
+    def test_timeout_spares_the_cell_in_flight_beside_it(
+        self, monkeypatch, tmp_path, executions
+    ):
+        # seed1 and seed2 start together; seed1 finishes at ~0.8s and
+        # its lane takes seed3, which is mid-run when seed2's 1s
+        # deadline passes.  Only seed2's lane is killed: seed3 runs
+        # exactly once instead of being recomputed.
+        arm_plan(
+            monkeypatch,
+            tmp_path,
+            [stall_rule(2, 60.0), stall_rule(1, 0.8), stall_rule(3, 0.8)],
+        )
+        specs = cheap_specs((1, 2, 3))
+        report = run_sweep(
+            specs, workers=2, backend="processes", cell_timeout=1.0
+        )
+        assert [failure.name for failure in report.failures] == [
+            f"{CHEAP}@seed2"
+        ]
+        assert report.failures[0].error.startswith("timeout:")
+        assert executions() == {spec_hash(spec): 1 for spec in specs}
+        assert report.cell_attempts[spec_hash(specs[2])] == 1
+
+    def test_crasher_is_charged_every_attempt_and_siblings_run_once(
+        self, monkeypatch, tmp_path, executions
+    ):
+        arm_plan(
+            monkeypatch,
+            tmp_path,
+            [
+                {
+                    "site": "sweep.cell",
+                    "match": f"{CHEAP}@seed2",
+                    "action": "kill",
+                }
+            ],
+        )
+        specs = cheap_specs((1, 2, 3))
+        report = run_sweep(
+            specs,
+            workers=2,
+            backend="processes",
+            max_retries=1,
+            retry_backoff=0.01,
+        )
+        (failure,) = report.failures
+        assert failure.name == f"{CHEAP}@seed2"
+        assert "worker died" in failure.error
+        assert failure.attempts == 2
+        assert report.cell_attempts[spec_hash(specs[1])] == 2
+        assert executions() == {
+            spec_hash(specs[0]): 1,
+            spec_hash(specs[1]): 2,
+            spec_hash(specs[2]): 1,
+        }
+
 
     def test_raising_entry_point_is_a_contained_death(
         self, monkeypatch
     ):
         # attempt_job never raises in production; if it somehow does
-        # (a broken monkeypatch, an import error in a worker), the
-        # cell fails alone instead of the batch.
-        def scripted(args):
-            digest = args[1]
-            if digest == "d1":
-                raise RuntimeError("boom")
-            return reply_ok(digest)
-
-        monkeypatch.setattr(backends_module, "attempt_job", scripted)
-        scheduler = self.make_scheduler(
-            SchedulerConfig(retry_backoff=0.0, poll_interval=0.01)
+        # (a broken monkeypatch, an import error in a lane), the cell
+        # fails alone and its lane keeps serving the siblings.
+        monkeypatch.setattr(
+            backends_module, "attempt_job", raising_for_seed2
         )
-        jobs = [
-            SweepJob(digest="d1", name="a", spec_json="{}"),
-            SweepJob(digest="d2", name="b", spec_json="{}"),
+        outcomes = ProcessBackend().run_jobs(
+            cheap_jobs((1, 2, 3)), workers=2
+        )
+        assert [outcome.job.name for outcome in outcomes] == [
+            f"{CHEAP}@seed{seed}" for seed in (1, 2, 3)
         ]
-        outcomes = scheduler.run(jobs)
-        assert [outcome.job.digest for outcome in outcomes] == [
-            "d1", "d2",
-        ]
-        assert outcomes[0].failure is not None
-        assert outcomes[0].failure.error.startswith(
+        assert outcomes[1].failure.error.startswith(
             "worker died: RuntimeError: boom"
         )
-        assert outcomes[1].ok
+        assert "RuntimeError: boom" in outcomes[1].failure.traceback
+        assert outcomes[0].ok and outcomes[2].ok
 
-    def test_speculation_lets_the_twin_win(self, monkeypatch):
-        # Three fast cells establish the median; the fourth stalls on
-        # its first execution and returns instantly on its second.
-        # With speculation on, the twin lands long before the stalled
-        # original would have.
-        lock = threading.Lock()
-        calls = {}
 
-        def scripted(args):
-            digest = args[1]
-            with lock:
-                calls[digest] = calls.get(digest, 0) + 1
-                nth = calls[digest]
-            if digest == "slow" and nth == 1:
-                time.sleep(1.5)
-            return reply_ok(digest)
+class TestNoOrphanLanes:
+    """No lane outlives run_jobs, however it ends."""
 
-        monkeypatch.setattr(backends_module, "attempt_job", scripted)
-        scheduler = self.make_scheduler(
-            SchedulerConfig(
-                retry_backoff=0.0,
-                speculate=True,
-                poll_interval=0.01,
-            ),
-            workers=2,
+    def test_after_a_normal_run(self):
+        outcomes = ProcessBackend().run_jobs(
+            cheap_jobs((1, 2, 3)), workers=2
         )
-        jobs = [
-            SweepJob(digest=d, name=d, spec_json="{}")
-            for d in ("f1", "f2", "f3", "slow")
-        ]
-        started = time.monotonic()
-        outcomes = scheduler.run(jobs)
-        elapsed = time.monotonic() - started
         assert all(outcome.ok for outcome in outcomes)
-        assert len(outcomes) == 4
-        assert calls["slow"] == 2  # original + speculative twin
-        assert elapsed < 1.4  # did not wait out the stalled original
+        assert multiprocessing.active_children() == []
 
-    def test_speculation_needs_enough_samples(self, monkeypatch):
-        # With only one finished cell the median is not trusted, so
-        # nothing is duplicated no matter how slow a cell looks.
-        lock = threading.Lock()
-        calls = {}
-
-        def scripted(args):
-            digest = args[1]
-            with lock:
-                calls[digest] = calls.get(digest, 0) + 1
-            if digest == "slow":
-                time.sleep(0.4)
-            return reply_ok(digest)
-
-        monkeypatch.setattr(backends_module, "attempt_job", scripted)
-        scheduler = self.make_scheduler(
-            SchedulerConfig(
-                retry_backoff=0.0,
-                speculate=True,
-                poll_interval=0.01,
-            ),
-            workers=2,
+    def test_after_a_timeout(self, monkeypatch, tmp_path):
+        arm_plan(monkeypatch, tmp_path, [stall_rule(2, 60.0)])
+        outcomes = ProcessBackend().run_jobs(
+            cheap_jobs((1, 2, 3)), workers=2, cell_timeout=1.0
         )
-        jobs = [
-            SweepJob(digest=d, name=d, spec_json="{}")
-            for d in ("f1", "slow")
-        ]
-        outcomes = scheduler.run(jobs)
-        assert all(outcome.ok for outcome in outcomes)
-        assert calls["slow"] == 1
+        assert [outcome.ok for outcome in outcomes] == [True, False, True]
+        assert multiprocessing.active_children() == []
+
+    def test_after_an_outcome_hook_raises(self):
+        def hook(outcome):
+            raise RuntimeError("checkpoint failed")
+
+        with pytest.raises(RuntimeError, match="checkpoint failed"):
+            ProcessBackend().run_jobs(
+                cheap_jobs((1, 2, 3)), workers=2, on_outcome=hook
+            )
+        assert multiprocessing.active_children() == []
 
 
 class QueueHarness:
