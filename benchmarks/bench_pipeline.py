@@ -3,22 +3,22 @@
 
 Runs ladder scenarios with a live analysis sink (collector →
 :class:`ObservationStream` → :class:`UpdateClassifier`) under each
-collector ``archive_policy`` — ``full``, ``ring:N`` and ``mrt-spill``
-— and records the results into ``BENCH_pipeline.json`` so the
+collector ``archive_policy`` — ``full`` and ``mrt-spill`` — and
+records the results into ``BENCH_pipeline.json`` so the
 memory/throughput trade-off of the streaming refactor is tracked from
 PR to PR.
 
 Beyond timing, the harness *asserts* the refactor's contract:
 
-* **bounded memory** — under ``ring:N`` every collector retains at
-  most N records; under ``mrt-spill`` it retains zero, while the
-  all-time message count (and the live classifier) prove the full
-  stream still flowed;
+* **bounded memory** — under ``mrt-spill`` every collector retains
+  zero records, while the all-time message count (and the live
+  classifier) prove the full stream still flowed, and the spilled
+  archive hashes identically to the ``full`` policy's export;
 * **equivalence** — the live classifier's type counts are identical
-  across all three policies (the archive backend cannot change what
-  the analysis sees);
-* **throughput** — bounded policies stay within
-  ``--min-throughput-ratio`` (default 0.85) of the ``full`` policy's
+  across both policies (the archive backend cannot change what the
+  analysis sees);
+* **throughput** — ``mrt-spill`` stays within
+  ``--min-throughput-ratio`` (default 0.9) of the ``full`` policy's
   events/sec, so bounding memory is not a hidden slowdown.
 
 Usage::
@@ -52,7 +52,7 @@ from repro.workloads import InternetModel  # noqa: E402
 
 LADDER = ("topology-tiny", "topology-medium", "topology-large")
 DEFAULT_SCENARIOS = ("topology-tiny", "topology-medium")
-POLICIES = ("full", "ring:1024", "mrt-spill")
+POLICIES = ("full", "mrt-spill")
 
 
 def peak_rss_kb() -> int:
@@ -79,16 +79,13 @@ def run_once(scenario: str, policy: str, *, spill_dir=None) -> dict:
     collectors = day.collectors()
     retained = {c.name: len(c.records) for c in collectors}
     spill_paths = [c.spill_path for c in collectors if c.spill_path]
-    # Hash whatever full-fidelity export exists so policies are
-    # provably archiving the same stream (ring archives are partial by
-    # design and are excluded).
-    archive_hash = None
-    if policy != "ring:1024" and not policy.startswith("ring"):
-        digest = hashlib.sha256()
-        for collector in collectors:
-            digest.update(collector.name.encode("utf-8"))
-            digest.update(collector.dump_mrt())
-        archive_hash = digest.hexdigest()[:16]
+    # Hash the full-fidelity export so both policies are provably
+    # archiving the same stream.
+    digest = hashlib.sha256()
+    for collector in collectors:
+        digest.update(collector.name.encode("utf-8"))
+        digest.update(collector.dump_mrt())
+    archive_hash = digest.hexdigest()[:16]
     for collector in collectors:
         collector.close()
     return {
@@ -156,14 +153,6 @@ def check_contract(
             problems.append(
                 f"{scenario}/{policy}: collector message count diverged"
             )
-        if policy.startswith("ring:"):
-            capacity = int(policy.split(":", 1)[1])
-            worst = max(result["retained_records"].values() or [0])
-            if worst > capacity:
-                problems.append(
-                    f"{scenario}/{policy}: retained {worst} > capacity"
-                    f" {capacity} (memory not bounded)"
-                )
         if policy == "mrt-spill":
             if result["retained_total"] != 0:
                 problems.append(
@@ -218,7 +207,7 @@ def main(argv=None) -> int:
         "--min-throughput-ratio",
         type=float,
         default=0.9,
-        help="bounded policies must reach this fraction of the full"
+        help="mrt-spill must reach this fraction of the full"
         " policy's events/sec (default 0.9, i.e. at most ~10%%"
         " regression)",
     )

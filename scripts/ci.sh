@@ -223,6 +223,15 @@ print(result["spill_paths"]["rrc00"])
 echo "spilled archive: $SPILL_PATH"
 python -m repro scenario run mrt-replay --input "$SPILL_PATH" --json \
     > "$CACHE_DIR/replay-result.json"
+# Keep a copy without its last 7 bytes for the damaged-input smoke.
+TRUNCATED="$CACHE_DIR/truncated.mrt"
+python -c '
+import sys
+with open(sys.argv[1], "rb") as source:
+    data = source.read()
+with open(sys.argv[2], "wb") as target:
+    target.write(data[:-7])
+' "$SPILL_PATH" "$TRUNCATED"
 rm -f "$SPILL_PATH"
 python -c '
 import json, sys
@@ -234,6 +243,28 @@ print("replay:", json.dumps(replay, sort_keys=True))
 if replay != live:
     sys.exit("mrt-replay of the spilled archive disagrees with the live run")
 ' "$CACHE_DIR/spill-result.json" "$CACHE_DIR/replay-result.json"
+
+echo
+echo "== smoke: replay of a truncated archive =="
+# Damaged input is either rejected or counted, never a crash: a strict
+# replay exits 2 with one line naming the archive, a tolerant replay
+# counts the cut record as damaged.
+STRICT_STATUS=0
+python -m repro scenario run mrt-replay-strict --input "$TRUNCATED" \
+    > /dev/null 2> "$CACHE_DIR/strict.err" || STRICT_STATUS=$?
+cat "$CACHE_DIR/strict.err"
+if [ "$STRICT_STATUS" -ne 2 ] || grep -q Traceback "$CACHE_DIR/strict.err"
+then
+    echo "strict replay of a truncated archive exited $STRICT_STATUS" >&2
+    exit 1
+fi
+python -m repro scenario run mrt-replay --input "$TRUNCATED" --json \
+    | python -c '
+import json, sys
+stats = json.load(sys.stdin)["reader_stats"]
+print("tolerant replay:", json.dumps(stats, sort_keys=True))
+assert stats["error_records"] == 1, stats
+'
 
 echo
 echo "CI OK"

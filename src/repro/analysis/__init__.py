@@ -31,7 +31,6 @@ from repro.analysis.classify import (
     AnnouncementType,
     UpdateClassifier,
     TypeCounts,
-    classify_stream,
     classify_observations,
 )
 from repro.analysis.cleaning import (
@@ -76,7 +75,6 @@ __all__ = [
     "AnnouncementType",
     "UpdateClassifier",
     "TypeCounts",
-    "classify_stream",
     "classify_observations",
     "CleaningPipeline",
     "CleaningReport",

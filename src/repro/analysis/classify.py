@@ -294,11 +294,3 @@ def classify_observations(
     for _ in classifier.observe_all(observations):
         pass
     return classifier.counts
-
-
-def classify_stream(
-    stream: "List[Observation]",
-) -> "List[ClassifiedAnnouncement]":
-    """Classify a single (session, prefix) stream, returning labels."""
-    classifier = UpdateClassifier()
-    return list(classifier.observe_all(stream))

@@ -1,15 +1,16 @@
 """Command-line tools.
 
-Four subcommands mirror the ways people use the library:
+Three subcommands mirror the ways people use the library:
 
-* ``repro lab [--vendor VENDOR]`` — run the §3 lab experiment matrix;
-* ``repro classify FILE [--collector NAME]`` — classify announcement
-  types in an MRT update archive (real RouteViews/RIS files work);
-* ``repro simulate [--scale small|mar20] [--seed N]`` — simulate one
-  measurement day and print Table 1 + Table 2;
-* ``repro scenario list|run|sweep`` — the declarative scenario engine:
-  browse the registry, run one named scenario (or a JSON spec file),
-  or run a multi-seed sweep in parallel with result caching;
+* ``repro scenario list|run|sweep`` — the declarative scenario engine
+  and the one path from input to tables: browse the registry, run one
+  named scenario (or a JSON spec file) — the §3 lab matrix
+  (``lab-baseline``), a simulated day's Tables 1–2
+  (``internet-small``, ``internet-mar20``) or an on-disk MRT archive
+  (``mrt-replay --input FILE``) — or run a multi-seed sweep in
+  parallel with result caching;
+* ``repro doctor DIR [--repair]`` — scan a cache or queue directory
+  for crash debris and repair it;
 * ``repro check`` — the contract linter (``src/repro/devtools/``):
   static analysis enforcing the determinism, hot-path and
   output-discipline invariants.
@@ -31,14 +32,7 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from repro.analysis import (
-    build_table1,
-    build_table2,
-    observations_from_collector,
-    observations_from_mrt,
-)
 from repro.reports import format_share, render_kv_table, render_table
-from repro.vendors import ALL_PROFILES, profile_by_name
 
 
 def _emit(*values, sep: str = " ", end: str = "\n") -> None:
@@ -74,36 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-
-    lab = subparsers.add_parser(
-        "lab", help="run the lab experiment matrix (paper §3)"
-    )
-    lab.add_argument(
-        "--vendor",
-        help="restrict to one vendor (e.g. junos, cisco, bird)",
-        default=None,
-    )
-
-    classify = subparsers.add_parser(
-        "classify", help="classify announcement types in an MRT file"
-    )
-    classify.add_argument("file", help="MRT update archive path")
-    classify.add_argument(
-        "--collector", default="unknown", help="collector label"
-    )
-
-    simulate = subparsers.add_parser(
-        "simulate", help="simulate one measurement day"
-    )
-    simulate.add_argument(
-        "--scale",
-        choices=("small", "mar20"),
-        default="small",
-        help="topology scale (default: small)",
-    )
-    simulate.add_argument(
-        "--seed", type=int, default=None, help="override the RNG seed"
-    )
 
     scenario = subparsers.add_parser(
         "scenario", help="declarative scenario engine"
@@ -367,88 +331,20 @@ def main(argv: "Optional[Sequence[str]]" = None) -> int:
     """CLI entry point; returns the process exit code."""
     arguments = build_parser().parse_args(argv)
     try:
-        if arguments.command == "lab":
-            return _run_lab(arguments)
-        if arguments.command == "classify":
-            return _run_classify(arguments)
         if arguments.command == "scenario":
             return _run_scenario_command(arguments)
         if arguments.command == "doctor":
             return _run_doctor(arguments)
-        if arguments.command == "check":
-            from repro.devtools.cli import run_check_command
+        # argparse admits one more subcommand: "check".
+        from repro.devtools.cli import run_check_command
 
-            return run_check_command(arguments)
-        return _run_simulate(arguments)
+        return run_check_command(arguments)
     except BrokenPipeError:
         # Piping into `head` closes stdout early; exit quietly instead
         # of tracebacking (and keep the interpreter's shutdown flush
         # from re-raising).
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-
-
-def _run_lab(arguments) -> int:
-    from repro.simulator import run_all_experiments
-
-    if arguments.vendor is not None:
-        try:
-            vendors = (profile_by_name(arguments.vendor),)
-        except KeyError as exc:
-            print(exc.args[0], file=sys.stderr)
-            return 2
-    else:
-        vendors = ALL_PROFILES
-    results = run_all_experiments(vendors)
-    _emit(
-        render_table(
-            ("exp", "vendor", "Y1->X1", "collector", "behavior"),
-            (result.summary_row() for result in results),
-            title="Lab behavior matrix (paper §3)",
-        )
-    )
-    return 0
-
-
-def _run_classify(arguments) -> int:
-    from repro.mrt import MRTReader
-    from repro.scenarios.engine import paused_gc
-
-    try:
-        handle = open(arguments.file, "rb")
-    except OSError as exc:
-        print(f"cannot open {arguments.file}: {exc}", file=sys.stderr)
-        return 2
-    with handle, paused_gc():
-        reader = MRTReader(handle, tolerant=True)
-        observations = list(
-            observations_from_mrt(reader, arguments.collector)
-        )
-        if not observations:
-            print("no update messages found", file=sys.stderr)
-            return 1
-        _print_day_tables(observations)
-    return 0
-
-
-def _run_simulate(arguments) -> int:
-    from repro.scenarios.engine import paused_gc
-    from repro.workloads import InternetConfig, InternetModel
-
-    if arguments.scale == "small":
-        config = InternetConfig.small()
-    else:
-        config = InternetConfig.mar20()
-    if arguments.seed is not None:
-        config.seed = arguments.seed
-    with paused_gc():
-        day = InternetModel(config).run()
-        observations = []
-        for collector in day.collectors():
-            observations.extend(observations_from_collector(collector))
-        observations.sort(key=lambda obs: obs.timestamp)
-        _print_day_tables(observations, beacons=set(day.beacon_prefixes))
-    return 0
 
 
 def _run_scenario_command(arguments) -> int:
@@ -516,6 +412,8 @@ def _scenario_run(arguments) -> int:
     import json
 
     from repro import obs
+    from repro.bgp.errors import WireFormatError
+    from repro.mrt.records import MRTError
     from repro.scenarios import (
         ScenarioValidationError,
         UnknownScenarioError,
@@ -563,18 +461,29 @@ def _scenario_run(arguments) -> int:
                 print(profile_text, file=sys.stderr)
             else:
                 result = execute()
+        except BaseException as exc:
+            # Every started run ends its journal, so a journal reader
+            # never sees a run that began and never finished.
+            if journal is not None:
+                journal.write("fail", error=str(exc))
+                journal.close()
+            raise
         finally:
             if want_metrics:
                 obs.set_metrics_enabled(previous)
     except (UnknownScenarioError, ScenarioValidationError) as exc:
-        if journal is not None:
-            journal.write("fail", error=str(exc))
-            journal.close()
         message = exc.args[0] if exc.args else str(exc)
         print(message, file=sys.stderr)
         return 2
+    except (MRTError, WireFormatError) as exc:
+        # A strict replay rejects a damaged archive: one line naming
+        # the file and the reason, not a traceback.
+        if spec.kind != "mrt":
+            raise
+        print(f"cannot replay {spec.mrt.path}: {exc}", file=sys.stderr)
+        return 2
     if journal is not None:
-        journal.write("finish", stopped_early=result.stopped_early)
+        journal.write("finish")
         journal.close()
     if arguments.metrics_out is not None:
         with open(arguments.metrics_out, "w", encoding="utf-8") as handle:
@@ -973,29 +882,6 @@ def _format_metric_value(value) -> str:
     if isinstance(value, int):
         return f"{value:,}"
     return str(value)
-
-
-def _print_day_tables(observations, *, beacons=None) -> None:
-    table1 = build_table1(observations)
-    _emit(render_kv_table(table1.as_rows(), title="Table 1: overview"))
-    _emit()
-    table2 = build_table2(observations, beacons)
-    rows = [
-        (
-            code,
-            description,
-            format_share(full),
-            format_share(beacon) if beacon is not None else "-",
-        )
-        for code, description, full, beacon in table2.as_rows()
-    ]
-    _emit(
-        render_table(
-            ("type", "observed changes", "share", "beacons"),
-            rows,
-            title="Table 2: announcement types",
-        )
-    )
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -714,14 +714,13 @@ class Gc001CollectorPolicy(Checker):
     title = "cyclic-collector control call outside the pause helper"
     explain = """\
 Every scenario run executes with CPython's cyclic collector paused
-(scenarios/engine.py's paused_gc, also used by `repro simulate` and
-`repro classify`).  That is safe only under one invariant — the hot
-layers allocate no reference cycles per event — and only while the
-pause restores the caller's state on every exit.  A second gc.disable,
-a forced gc.collect or a threshold tweak elsewhere forks that policy:
-it can leave the collector off after a run, pay a full collection
-inside a timed region, or hide a cycle leak the invariant test would
-otherwise catch.
+(scenarios/engine.py's paused_gc).  That is safe only under one
+invariant — the hot layers allocate no reference cycles per event —
+and only while the pause restores the caller's state on every exit.
+A second gc.disable, a forced gc.collect or a threshold tweak
+elsewhere forks that policy: it can leave the collector off after a
+run, pay a full collection inside a timed region, or hide a cycle leak
+the invariant test would otherwise catch.
 
 History: on the simulated days the collector spent a fifth to a third
 of each run re-scanning live RIBs while freeing nothing (README,

@@ -8,58 +8,40 @@ Every stage is a :class:`Sink`: a tiny push-based protocol (``push`` /
 layer exchange events one at a time instead of materializing whole
 archives in memory.
 
-* :mod:`repro.pipeline.sinks` — the :class:`Sink` protocol and the
-  generic plumbing: :class:`Tee` fan-out, the bounded
-  :class:`RingArchive`, the unbounded :class:`ListArchive`, the
-  spill-to-disk :class:`MrtSpillArchive`, :class:`CallbackSink`,
-  :class:`CountingSink` and the :class:`SequenceView` read-only
-  wrapper;
+* :mod:`repro.pipeline.sinks` — the :class:`Sink` protocol, the
+  collector archive backends (the in-memory :class:`ListArchive` and
+  the spill-to-disk :class:`MrtSpillArchive`) and the
+  :class:`SequenceView` read-only wrapper;
 * :mod:`repro.pipeline.stream` — :class:`ObservationStream`, the
   incremental exploder that turns archived collector messages (or MRT
   records) into per-prefix :class:`~repro.analysis.observations.
   Observation` events, plus :func:`replay_mrt`, the source that pumps
   an on-disk archive through the identical path a live simulation
   uses.
-
-Raising :class:`PipelineStop` from any sink aborts the pump loop
-cleanly — that is how the scenario engine's ``early_stop`` hook halts
-a simulation mid-day once its metrics have converged.
 """
 
 from repro.pipeline.sinks import (
     ArchiveSink,
-    CallbackSink,
-    CountingSink,
     ListArchive,
     MrtSpillArchive,
-    PipelineStop,
-    RingArchive,
     SequenceView,
     Sink,
-    Tee,
     make_archive,
     parse_archive_policy,
 )
 from repro.pipeline.stream import (
     ObservationStream,
-    observations_from_mrt_file,
     replay_mrt,
 )
 
 __all__ = [
     "ArchiveSink",
-    "CallbackSink",
-    "CountingSink",
     "ListArchive",
     "MrtSpillArchive",
-    "PipelineStop",
-    "RingArchive",
     "SequenceView",
     "Sink",
-    "Tee",
     "make_archive",
     "parse_archive_policy",
     "ObservationStream",
-    "observations_from_mrt_file",
     "replay_mrt",
 ]

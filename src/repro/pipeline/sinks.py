@@ -6,16 +6,15 @@ the pipeline's invariant lives in the *callers*: items are pushed in
 arrival order, exactly once, and ``close()`` is called at most once
 when the source is exhausted.
 
-The archive sinks (:class:`ListArchive`, :class:`RingArchive`,
-:class:`MrtSpillArchive`) back the collector's ``archive_policy``
-knob.  They all archive :class:`~repro.simulator.collector.
-CollectedMessage` items and differ only in what they retain:
+The archive sinks (:class:`ListArchive`, :class:`MrtSpillArchive`)
+back the collector's ``archive_policy`` knob.  Both archive every
+:class:`~repro.simulator.collector.CollectedMessage` and differ only
+in where they keep it:
 
 ========== =================== ===========================
 policy      memory              fidelity of ``records``
 ========== =================== ===========================
 full        O(messages)         everything
-ring:N      O(N)                newest N messages
 mrt-spill   O(1)                nothing in RAM; the full
                                 archive lives in an MRT
                                 file and is replayable
@@ -24,17 +23,11 @@ mrt-spill   O(1)                nothing in RAM; the full
 
 from __future__ import annotations
 
-import io
 import os
 import tempfile
-from collections import deque
-from typing import Callable, Iterable, Iterator, List, Optional, Protocol, Sequence
+from typing import Iterator, List, Optional, Protocol, Sequence
 
 from repro import faults
-
-
-class PipelineStop(Exception):
-    """Raised by a sink to abort the pump loop (early stop)."""
 
 
 class Sink(Protocol):
@@ -59,64 +52,8 @@ class SinkBase:
         """Release resources (default: nothing to release)."""
 
 
-class CallbackSink(SinkBase):
-    """Adapt a plain callable into a sink."""
-
-    def __init__(self, callback: "Callable", on_close: "Optional[Callable]" = None):
-        self._callback = callback
-        self._on_close = on_close
-
-    def push(self, item) -> None:
-        self._callback(item)
-
-    def close(self) -> None:
-        if self._on_close is not None:
-            self._on_close()
-
-
-class CountingSink(SinkBase):
-    """Count items, optionally forwarding them downstream."""
-
-    def __init__(self, downstream: "Optional[Sink]" = None):
-        self.count = 0
-        self._downstream = downstream
-
-    def push(self, item) -> None:
-        self.count += 1
-        if self._downstream is not None:
-            self._downstream.push(item)
-
-    def close(self) -> None:
-        if self._downstream is not None:
-            self._downstream.close()
-
-
-class Tee(SinkBase):
-    """Fan one stream out to several sinks, in attachment order."""
-
-    def __init__(self, sinks: "Iterable[Sink]" = ()):
-        self.sinks: "List[Sink]" = list(sinks)
-
-    def attach(self, sink: "Sink") -> "Sink":
-        """Add a sink; returns it for chaining."""
-        self.sinks.append(sink)
-        return sink
-
-    def detach(self, sink: "Sink") -> None:
-        """Remove a previously attached sink."""
-        self.sinks.remove(sink)
-
-    def push(self, item) -> None:
-        for sink in self.sinks:
-            sink.push(item)
-
-    def close(self) -> None:
-        for sink in self.sinks:
-            sink.close()
-
-
 class SequenceView(Sequence):
-    """Read-only, copy-free view over a list or deque.
+    """Read-only, copy-free view over a list.
 
     The collector's ``records``/``sessions`` properties used to copy
     the whole backing list on every access, which hot-loop callers
@@ -134,10 +71,6 @@ class SequenceView(Sequence):
         return len(self._items)
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            if isinstance(self._items, list):
-                return self._items[index]
-            return list(self._items)[index]
         return self._items[index]
 
     def __iter__(self) -> Iterator:
@@ -146,7 +79,7 @@ class SequenceView(Sequence):
     def __eq__(self, other) -> bool:
         if isinstance(other, SequenceView):
             other = other._items
-        if isinstance(other, (list, tuple, deque)):
+        if isinstance(other, (list, tuple)):
             return len(self._items) == len(other) and all(
                 mine == theirs for mine, theirs in zip(self._items, other)
             )
@@ -159,42 +92,26 @@ class SequenceView(Sequence):
 # ----------------------------------------------------------------------
 # archive policies
 # ----------------------------------------------------------------------
-def parse_archive_policy(policy: str) -> "tuple[str, Optional[int]]":
-    """Parse ``full`` | ``ring:N`` | ``mrt-spill`` into (kind, param).
+#: The archive policies, spelled exactly as a spec must spell them.
+ARCHIVE_POLICIES = ("full", "mrt-spill")
 
-    Raises :class:`ValueError` with an actionable message otherwise.
+
+def parse_archive_policy(policy: str) -> str:
+    """Return *policy* if it is exactly ``full`` or ``mrt-spill``.
+
+    Only the exact spelling is accepted: the spec is hashed with the
+    raw string, so a second spelling of one policy would give one run
+    a second cache key.  Raises :class:`ValueError` otherwise.
     """
-    if not isinstance(policy, str):
+    if policy not in ARCHIVE_POLICIES:
         raise ValueError(
-            f"archive_policy must be a string, got {policy!r}"
+            f"unknown archive_policy {policy!r}; use 'full' or 'mrt-spill'"
         )
-    text = policy.strip().lower()
-    if text == "full":
-        return ("full", None)
-    if text == "mrt-spill":
-        return ("mrt-spill", None)
-    if text.startswith("ring:"):
-        try:
-            capacity = int(text.split(":", 1)[1])
-        except ValueError:
-            capacity = 0
-        if capacity < 1:
-            raise ValueError(
-                f"ring archive capacity must be a positive integer,"
-                f" got {policy!r}"
-            )
-        return ("ring", capacity)
-    raise ValueError(
-        f"unknown archive_policy {policy!r}; use 'full', 'ring:N'"
-        f" or 'mrt-spill'"
-    )
+    return policy
 
 
 class ArchiveSink(SinkBase):
     """Common interface of the collector archive backends."""
-
-    #: The canonical policy string this archive implements.
-    policy: str = ""
 
     @property
     def retained(self) -> SequenceView:
@@ -206,11 +123,6 @@ class ArchiveSink(SinkBase):
         """Every message ever pushed (retained or not)."""
         raise NotImplementedError
 
-    @property
-    def dropped(self) -> int:
-        """Messages no longer retained in memory."""
-        return self.total_archived - len(self.retained)
-
     def clear(self) -> int:
         """Drop the archive; returns the all-time count dropped."""
         raise NotImplementedError
@@ -218,8 +130,6 @@ class ArchiveSink(SinkBase):
 
 class ListArchive(ArchiveSink):
     """The ``full`` policy: keep everything, like the seed collector."""
-
-    policy = "full"
 
     def __init__(self):
         self._records: "List" = []
@@ -241,36 +151,6 @@ class ListArchive(ArchiveSink):
         return count
 
 
-class RingArchive(ArchiveSink):
-    """The ``ring:N`` policy: bounded memory, newest N retained."""
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError(f"ring capacity must be >= 1, got {capacity}")
-        self.capacity = int(capacity)
-        self.policy = f"ring:{self.capacity}"
-        self._ring: "deque" = deque(maxlen=self.capacity)
-        self._total = 0
-
-    def push(self, item) -> None:
-        self._total += 1
-        self._ring.append(item)
-
-    @property
-    def retained(self) -> SequenceView:
-        return SequenceView(self._ring)
-
-    @property
-    def total_archived(self) -> int:
-        return self._total
-
-    def clear(self) -> int:
-        count = self._total
-        self._ring.clear()
-        self._total = 0
-        return count
-
-
 class MrtSpillArchive(ArchiveSink):
     """The ``mrt-spill`` policy: stream every message to an MRT file.
 
@@ -280,8 +160,6 @@ class MrtSpillArchive(ArchiveSink):
     :class:`~repro.mrt.records.Bgp4mpMessage`-convertible — the
     collector pushes ready-made BGP4MP records.
     """
-
-    policy = "mrt-spill"
 
     def __init__(
         self,
@@ -342,12 +220,6 @@ class MrtSpillArchive(ArchiveSink):
         with open(self.path, "rb") as handle:
             yield from MRTReader(handle)
 
-    def spilled_bytes(self) -> bytes:
-        """The raw MRT archive written so far."""
-        self.flush()
-        with open(self.path, "rb") as handle:
-            return handle.read()
-
     def clear(self) -> int:
         count = self._total
         if not self._closed:
@@ -377,9 +249,6 @@ def make_archive(
     policy: str, *, spill_dir: "Optional[str]" = None, prefix: str = "repro-spill-"
 ) -> ArchiveSink:
     """Instantiate the archive backend for a policy string."""
-    kind, param = parse_archive_policy(policy)
-    if kind == "full":
+    if parse_archive_policy(policy) == "full":
         return ListArchive()
-    if kind == "ring":
-        return RingArchive(param)
     return MrtSpillArchive(spill_dir=spill_dir, prefix=prefix)

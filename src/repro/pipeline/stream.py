@@ -16,7 +16,7 @@ identical observation path a live simulation uses.
 
 from __future__ import annotations
 
-from typing import BinaryIO, Dict, Iterator, Optional, Union
+from typing import BinaryIO, Dict, Optional, Union
 
 from repro.analysis.observations import SessionKey, explode_update
 from repro.bgp.message import UpdateMessage
@@ -97,20 +97,19 @@ def replay_mrt(
     *,
     collector: str = "mrt",
     tolerant: bool = True,
-    close_sink: bool = False,
     stats: "Optional[Dict[str, int]]" = None,
 ) -> int:
     """Pump an MRT archive through *sink* as observations.
 
     *source* is a path or an open binary stream.  Returns the number
-    of observations delivered.  A :class:`PipelineStop` raised by the
-    sink propagates to the caller after the reader is released.
+    of observations delivered.  An exception raised by the reader or
+    the sink propagates to the caller after the reader is released.
 
     When *stats* is a dict it is filled with the replay's bookkeeping —
     ``records``, ``skipped_records``, ``error_records`` (tolerant-mode
     drops), ``messages`` and ``observations`` — so callers can surface
     what the reader silently stepped over.  The dict is populated even
-    when the sink stops the pipeline early.
+    when the replay ends in an exception.
     """
     from repro.mrt.reader import MRTReader
 
@@ -136,19 +135,4 @@ def replay_mrt(
             stats["error_records"] = reader.error_records
             stats["messages"] = stream.messages_seen
             stats["observations"] = stream.observations_emitted
-    if close_sink:
-        sink.close()
     return stream.observations_emitted
-
-
-def observations_from_mrt_file(
-    path: str, *, collector: str = "mrt", tolerant: bool = True
-) -> Iterator:
-    """Lazily yield observations from an on-disk MRT archive."""
-    from repro.analysis.observations import observations_from_mrt
-    from repro.mrt.reader import MRTReader
-
-    with open(path, "rb") as handle:
-        yield from observations_from_mrt(
-            MRTReader(handle, tolerant=tolerant), collector
-        )

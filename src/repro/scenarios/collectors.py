@@ -37,22 +37,18 @@ from repro.analysis.observations import Observation
 
 
 class ScenarioContext:
-    """Run-scoped facts collectors may need (beacons, spec, day).
+    """Run-scoped facts collectors may need (spec, beacons).
 
     With live-sink streaming the context is created *before* the
-    simulation is built, so fields that only exist later start empty
-    and are filled in by the engine as the run progresses.
-    ``beacon_prefixes`` is filled in place right after the day is
-    scheduled, before the day runs and so before any beacon prefix is
-    announced: a collector may keep a reference to the set and test
-    membership online.  ``day`` exists only once the run has ended.
+    simulation is built, so ``beacon_prefixes`` starts empty.  It is
+    filled in place right after the day is scheduled, before the day
+    runs and so before any beacon prefix is announced: a collector may
+    keep a reference to the set and test membership online.
     """
 
-    def __init__(self, spec, *, beacon_prefixes=None, day=None):
+    def __init__(self, spec, *, beacon_prefixes=None):
         self.spec = spec
         self.beacon_prefixes = set(beacon_prefixes or ())
-        #: The :class:`SimulatedDay` for internet runs, else ``None``.
-        self.day = day
 
 
 class MetricCollector:
@@ -80,15 +76,6 @@ class MetricCollector:
     def finish(self) -> dict:
         """Return this collector's metrics as a JSON-friendly dict."""
         return {}
-
-    def snapshot(self) -> dict:
-        """Metrics so far, without implying the run has ended.
-
-        Defaults to :meth:`finish` — every built-in collector's finish
-        is a pure aggregation over accumulated state, safe to call
-        repeatedly.  Override when finish has one-shot side effects.
-        """
-        return self.finish()
 
 
 class CollectorProxy:
@@ -123,13 +110,6 @@ class CollectorProxy:
     def finish(self) -> "Dict[str, dict]":
         return {
             collector.name: collector.finish()
-            for collector in self.collectors
-        }
-
-    def snapshot(self) -> "Dict[str, dict]":
-        """Every collector's mid-run metrics, keyed like finish()."""
-        return {
-            collector.name: collector.snapshot()
             for collector in self.collectors
         }
 

@@ -14,19 +14,13 @@ CLI, examples, benchmarks, the parallel sweep runner — goes through:
 4. return a :class:`ScenarioResult` whose ``metrics`` are plain
    JSON-friendly data, keyed by collector name.
 
-Since the streaming-pipeline refactor, internet scenarios feed the
-metric collectors *live*: an :class:`ObservationStream` is attached as
-a collector sink before the network is even built, so metrics
-accumulate while the simulation runs instead of after it, collector
-memory can stay bounded (``archive_policy=ring:N``/``mrt-spill``) and
-two hooks become possible:
-
-* ``early_stop`` — a callable ``(observation_count, proxy) -> bool``
-  checked on every observation; returning True aborts the simulation
-  (the partially-accumulated metrics are still returned, flagged by
-  ``ScenarioResult.stopped_early``);
-* ``snapshot_every`` — record a full metrics snapshot every N
-  observations into ``ScenarioResult.snapshots``.
+Internet scenarios feed the metric collectors *live*: an
+:class:`ObservationStream` is attached as a collector sink before the
+network is even built, so metrics accumulate while the simulation runs
+instead of after it, and ``archive_policy=mrt-spill`` keeps collector
+memory bounded.  A run's progress is visible as heartbeats every N
+observations, delivered to a :class:`RunJournal` and/or an
+``on_heartbeat`` callable.
 
 Every run executes under :class:`paused_gc`: the cyclic collector is
 off while the world is simulated or replayed and back in the caller's
@@ -41,12 +35,12 @@ from __future__ import annotations
 import gc
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from repro.netbase.memo import memo_stats, reset_memo_stats
 from repro.obs import metrics as obs_metrics
 from repro.obs.journal import RunJournal
-from repro.pipeline.sinks import PipelineStop, SinkBase
+from repro.pipeline.sinks import SinkBase
 from repro.pipeline.stream import ObservationStream
 from repro.scenarios.collectors import (
     CollectorProxy,
@@ -66,9 +60,6 @@ from repro.scenarios.spec import (
     ScenarioValidationError,
 )
 
-#: Signature of the early-stop hook: (observations so far, proxy).
-EarlyStopHook = Callable[[int, CollectorProxy], bool]
-
 #: Signature of the heartbeat hook: one JSON-friendly progress dict.
 HeartbeatHook = Callable[[dict], None]
 
@@ -85,11 +76,6 @@ class ScenarioResult:
     spec_hash: str
     #: Collector name -> that collector's metrics dict.
     metrics: "Dict[str, dict]" = field(default_factory=dict)
-    #: Mid-run metric snapshots (``snapshot_every``), each a dict of
-    #: ``{"observations": N, "metrics": {...}}``.
-    snapshots: "List[dict]" = field(default_factory=list)
-    #: True when an ``early_stop`` hook aborted the run.
-    stopped_early: bool = False
     #: Collector name -> on-disk MRT archive path, for runs under
     #: ``archive_policy=mrt-spill`` (the files are flushed and closed,
     #: ready for ``mrt-replay --input``).
@@ -141,22 +127,17 @@ class paused_gc:
 
 
 class _MetricsPump(SinkBase):
-    """Terminal sink of a live run: proxy fan-out + engine hooks."""
+    """Terminal sink of a live run: proxy fan-out + heartbeats."""
 
     def __init__(
         self,
         proxy: CollectorProxy,
         *,
-        early_stop: "Optional[EarlyStopHook]" = None,
-        snapshot_every: "Optional[int]" = None,
         journal: "Optional[RunJournal]" = None,
         heartbeat_every: "Optional[int]" = None,
         on_heartbeat: "Optional[HeartbeatHook]" = None,
     ):
         self.proxy = proxy
-        self.snapshots: "List[dict]" = []
-        self._early_stop = early_stop
-        self._snapshot_every = snapshot_every
         self._journal = journal
         self._on_heartbeat = on_heartbeat
         # Heartbeats only make sense with somewhere to deliver them.
@@ -187,39 +168,26 @@ class _MetricsPump(SinkBase):
         proxy.observe(observation)
         count = proxy.observed
         if (
-            self._snapshot_every
-            and count % self._snapshot_every == 0
-        ):
-            self.snapshots.append(
-                {"observations": count, "metrics": proxy.snapshot()}
-            )
-        if (
             self._heartbeat_every
             and count % self._heartbeat_every == 0
         ):
             self._heartbeat(count)
-        if self._early_stop is not None and self._early_stop(count, proxy):
-            raise PipelineStop(
-                f"early_stop hook fired after {count} observations"
-            )
 
 
 def run_scenario(
     spec: ScenarioSpec,
     *,
-    early_stop: "Optional[EarlyStopHook]" = None,
-    snapshot_every: "Optional[int]" = None,
     journal: "Optional[RunJournal]" = None,
     heartbeat_every: "Optional[int]" = None,
     on_heartbeat: "Optional[HeartbeatHook]" = None,
 ) -> ScenarioResult:
     """Validate and execute one scenario.
 
-    ``early_stop``/``snapshot_every`` apply to the streaming kinds
-    (internet, mrt); lab scenarios deliver one event per experiment
-    cell and ignore them.  A *journal* receives heartbeat lines every
-    *heartbeat_every* observations (and *on_heartbeat*, if given, the
-    same payloads in-process).
+    A *journal* receives heartbeat lines every *heartbeat_every*
+    observations (and *on_heartbeat*, if given, the same payloads
+    in-process).  Heartbeats count observations, so they apply to the
+    streaming kinds (internet, mrt); lab scenarios deliver one event
+    per experiment cell and send none.
 
     When the metrics registry is enabled
     (:func:`repro.obs.set_metrics_enabled`), the run starts from a
@@ -238,21 +206,18 @@ def run_scenario(
             proxy = make_collectors(spec.collectors)
             pump = _MetricsPump(
                 proxy,
-                early_stop=early_stop,
-                snapshot_every=snapshot_every,
                 journal=journal,
                 heartbeat_every=heartbeat_every,
                 on_heartbeat=on_heartbeat,
             )
-        stopped = False
         spill_paths: "Dict[str, str]" = {}
         reader_stats: "Dict[str, int]" = {}
         if spec.kind == "lab":
             _run_lab(spec, proxy)
         elif spec.kind == "mrt":
-            stopped = _run_mrt(spec, proxy, pump, reader_stats)
+            _run_mrt(spec, proxy, pump, reader_stats)
         else:
-            stopped = _run_internet(spec, proxy, pump, spill_paths)
+            _run_internet(spec, proxy, pump, spill_paths)
         with obs_metrics.phase("scenario.analyze"):
             metrics = proxy.finish()
         report: dict = {}
@@ -275,8 +240,6 @@ def run_scenario(
             spec=spec,
             spec_hash=spec_hash(spec),
             metrics=metrics,
-            snapshots=pump.snapshots,
-            stopped_early=stopped,
             spill_paths=spill_paths,
             reader_stats=reader_stats,
             metrics_report=report,
@@ -320,7 +283,7 @@ def run_scenario_json(
     result.metrics_report = {}
     payload = result_to_json(result)
     if journal is not None:
-        journal.write("finish", stopped_early=result.stopped_early)
+        journal.write("finish")
         journal.close()
     return payload
 
@@ -354,7 +317,7 @@ def _run_internet(
     proxy: CollectorProxy,
     pump: _MetricsPump,
     spill_paths: "Dict[str, str]",
-) -> bool:
+) -> None:
     from repro.workloads import InternetModel
 
     config = internet_config_from_spec(spec)
@@ -367,18 +330,14 @@ def _run_internet(
     # post-run batch iteration (per-(session, prefix) event order is
     # the same either way; see tests/test_pipeline.py).
     model.attach_collector_sink(ObservationStream(pump))
-    stopped = False
-    try:
-        with obs_metrics.phase("internet.build"):
-            model.build()
-            model.schedule_day()
-            # Only the scheduled beacon events originate beacon
-            # prefixes, so the set is complete before any is announced.
-            context.beacon_prefixes.update(model.beacon_prefixes)
-        with obs_metrics.phase("internet.run"):
-            model.run_day()
-    except PipelineStop:
-        stopped = True
+    with obs_metrics.phase("internet.build"):
+        model.build()
+        model.schedule_day()
+        # Only the scheduled beacon events originate beacon prefixes,
+        # so the set is complete before any is announced.
+        context.beacon_prefixes.update(model.beacon_prefixes)
+    with obs_metrics.phase("internet.run"):
+        model.run_day()
     day = model.simulated_day()
     if obs_metrics.metrics_enabled():
         # Post-run reads of counters the event loop keeps anyway —
@@ -401,8 +360,6 @@ def _run_internet(
         collector.close()
         if collector.spill_path is not None:
             spill_paths[collector.name] = collector.spill_path
-    context.day = day
-    return stopped
 
 
 def internet_config_from_spec(spec: ScenarioSpec):
@@ -475,7 +432,7 @@ def _run_mrt(
     proxy: CollectorProxy,
     pump: _MetricsPump,
     reader_stats: "Dict[str, int]",
-) -> bool:
+) -> None:
     from repro.pipeline.stream import replay_mrt
 
     section = spec.mrt or MrtSpec()
@@ -494,17 +451,11 @@ def _run_mrt(
         raise ScenarioValidationError(
             spec.name, [f"cannot open mrt archive {section.path!r}: {exc}"]
         ) from None
-    stopped = False
-    with handle:
-        try:
-            with obs_metrics.phase("mrt.replay"):
-                replay_mrt(
-                    handle,
-                    pump,
-                    collector=section.collector,
-                    tolerant=section.tolerant,
-                    stats=reader_stats,
-                )
-        except PipelineStop:
-            stopped = True
-    return stopped
+    with handle, obs_metrics.phase("mrt.replay"):
+        replay_mrt(
+            handle,
+            pump,
+            collector=section.collector,
+            tolerant=section.tolerant,
+            stats=reader_stats,
+        )

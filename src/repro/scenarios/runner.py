@@ -69,6 +69,8 @@ from repro.scenarios.spec import ScenarioSpec
 #: byte-different for sharded runs.
 #: Kept at v3 when the sharded decode and both fields went: no
 #: reachable entry carried either, so none replays different bytes.
+#: Kept at v3 when the early-stop and snapshot result fields went:
+#: sweep cells never set them, so no cached entry carried either key.
 CACHE_VERSION = "v3"
 
 #: Static fingerprint of the serialized result schema — the payload
@@ -79,7 +81,7 @@ CACHE_VERSION = "v3"
 #: together.  When that check fires: decide whether replayed bytes
 #: change, bump :data:`CACHE_VERSION` if they do, and paste the
 #: computed value from the finding message here.
-CACHE_SCHEMA_FINGERPRINT = "1661e2e1e70e"
+CACHE_SCHEMA_FINGERPRINT = "96530b908db7"
 
 #: Manifest filename inside the cache dir, and its schema version.
 #: Note: per-cell ``attempts``/``started_at``/``finished_at`` keys were

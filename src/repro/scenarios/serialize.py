@@ -149,19 +149,14 @@ def spec_hash(spec: ScenarioSpec) -> str:
 def result_to_dict(result) -> "Dict[str, Any]":
     """Self-contained plain-data form of a :class:`ScenarioResult`.
 
-    The streaming-only fields (``snapshots``, ``stopped_early``) are
-    emitted only when set, so cache files written before the pipeline
-    refactor round-trip unchanged.
+    The optional fields are emitted only when set, so a result that
+    does not use one serializes to the same bytes as before it existed.
     """
     payload = {
         "spec": spec_to_dict(result.spec),
         "spec_hash": result.spec_hash,
         "metrics": _plain(result.metrics),
     }
-    if getattr(result, "snapshots", None):
-        payload["snapshots"] = _plain(result.snapshots)
-    if getattr(result, "stopped_early", False):
-        payload["stopped_early"] = True
     if getattr(result, "spill_paths", None):
         payload["spill_paths"] = dict(result.spill_paths)
     if getattr(result, "reader_stats", None):
@@ -180,8 +175,6 @@ def result_from_dict(data: "Dict[str, Any]"):
         spec=spec,
         spec_hash=data["spec_hash"],
         metrics=data["metrics"],
-        snapshots=list(data.get("snapshots", [])),
-        stopped_early=bool(data.get("stopped_early", False)),
         spill_paths=dict(data.get("spill_paths", {})),
         reader_stats=dict(data.get("reader_stats", {})),
         metrics_report=dict(data.get("metrics_report", {})),

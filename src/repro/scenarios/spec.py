@@ -108,10 +108,10 @@ class InternetSpec:
     #: per-session delays internet scenarios use, collector output is
     #: bit-identical either way (`bench_core.py --verify` checks it).
     delivery_batching: "Optional[bool]" = None
-    #: Collector archive policy: ``full`` | ``ring:N`` | ``mrt-spill``
+    #: Collector archive policy: exactly ``full`` or ``mrt-spill``
     #: (``None`` keeps the simulator default: ``full``).  With live
-    #: metric sinks the analysis never touches the archive, so ring
-    #: and spill bound collector memory without changing any metric.
+    #: metric sinks the analysis never touches the archive, so spill
+    #: bounds collector memory without changing any metric.
     archive_policy: "Optional[str]" = None
     #: Collector names to instantiate (``None`` keeps the base
     #: scale's default pair).  A single-name tuple gives one archive

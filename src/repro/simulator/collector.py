@@ -11,11 +11,10 @@ must disambiguate (§4).
 Since the streaming-pipeline refactor the collector is a pipeline
 *source*: every :class:`CollectedMessage` is pushed to attached sinks
 (:meth:`attach_sink`) the moment it arrives, and the archive itself is
-one of three :mod:`repro.pipeline.sinks` backends selected by
+one of two :mod:`repro.pipeline.sinks` backends selected by
 ``archive_policy``:
 
 * ``full`` — keep everything in memory (the classic behavior);
-* ``ring:N`` — bounded memory, newest N messages retained;
 * ``mrt-spill`` — nothing retained in RAM; the archive streams to an
   MRT file on disk and is replayable through :meth:`replay`.
 """
@@ -32,7 +31,6 @@ from repro.mrt.writer import MRTWriter
 from repro.netbase.asn import ASN
 from repro.pipeline.sinks import (
     ArchiveSink,
-    ListArchive,
     MrtSpillArchive,
     SequenceView,
     Sink,
@@ -110,10 +108,6 @@ class RouteCollector:
         self._sinks.append(sink)
         return sink
 
-    def detach_sink(self, sink: "Sink") -> None:
-        """Stop streaming to a previously attached sink."""
-        self._sinks.remove(sink)
-
     # ------------------------------------------------------------------
     # node protocol (same duck type as Router)
     # ------------------------------------------------------------------
@@ -173,8 +167,8 @@ class RouteCollector:
         """Retained messages in arrival order (read-only, no copy).
 
         Under ``full`` this is every message ever heard; under
-        ``ring:N`` the newest N; under ``mrt-spill`` it is empty —
-        use :meth:`replay` to stream the on-disk archive instead.
+        ``mrt-spill`` it is empty — use :meth:`replay` to stream the
+        on-disk archive instead.
         """
         return self._archive.retained
 
@@ -182,11 +176,6 @@ class RouteCollector:
     def sessions(self) -> SequenceView:
         """The collector's peering sessions (read-only view)."""
         return SequenceView(self._sessions)
-
-    @property
-    def dropped_records(self) -> int:
-        """Messages archived but no longer retained in memory."""
-        return self._archive.dropped
 
     @property
     def spill_path(self) -> "Optional[str]":
@@ -228,8 +217,7 @@ class RouteCollector:
         """View the archive as MRT-ready records.
 
         Under ``mrt-spill`` the records are re-read from the spill
-        file (full fidelity); under ``ring:N`` only the retained tail
-        is available.
+        file.
         """
         if self._spills:
             yield from self._archive.replay()

@@ -39,8 +39,8 @@ class Network:
         #: ordering guarantee).  Turning this off gives the classic
         #: one-event-per-message granularity.
         self.batch_delivery = bool(batch_delivery)
-        #: Default collector archive policy: ``full`` | ``ring:N`` |
-        #: ``mrt-spill`` (see :mod:`repro.pipeline.sinks`).
+        #: Default collector archive policy: ``full`` | ``mrt-spill``
+        #: (see :mod:`repro.pipeline.sinks`).
         self.archive_policy = archive_policy
         #: Directory for ``mrt-spill`` archives (None: system temp).
         self.spill_dir = spill_dir

@@ -134,9 +134,9 @@ class InternetConfig:
     #: delays the collector output is bit-identical either way.
     delivery_batching: bool = True
     #: Collector archive policy: ``full`` keeps every message in
-    #: memory, ``ring:N`` retains only the newest N, ``mrt-spill``
-    #: streams the archive to an MRT file on disk (bounded memory at
-    #: any run length; replayable through the mrt-replay scenarios).
+    #: memory, ``mrt-spill`` streams the archive to an MRT file on
+    #: disk (bounded memory at any run length; replayable through the
+    #: mrt-replay scenarios).
     archive_policy: str = "full"
     #: Directory for ``mrt-spill`` archives (None: system temp).
     spill_dir: "Optional[str]" = None

@@ -12,10 +12,20 @@ from repro.analysis.observations import (
 )
 from repro.bgp import ASPath, CommunitySet
 from repro.netbase import Prefix
-from repro.pipeline.sinks import CountingSink
+from repro.pipeline.sinks import SinkBase
 from repro.workloads import AllocationRegistry
 
 SESSION = SessionKey("rrc00", 20205, "10.0.0.1")
+
+
+class _ListSink(SinkBase):
+    """Collects every pushed observation."""
+
+    def __init__(self):
+        self.items = []
+
+    def push(self, item):
+        self.items.append(item)
 
 
 def announce(t, path="20205 3356 12654", prefix="84.205.64.0/24",
@@ -229,7 +239,7 @@ class TestDisambiguationState:
         )
 
     def test_state_is_one_pair_per_collector(self):
-        delivered = CountingSink()
+        delivered = _ListSink()
         sink = CleaningPipeline().sink(delivered)
         templates = [
             announce(0.0, session=SessionKey(collector, 20205, "10.0.0.1"))
@@ -241,7 +251,7 @@ class TestDisambiguationState:
                 sink.push(observation)
                 sink.push(observation)
         assert len(sink._last_by_collector) == len(self.COLLECTORS)
-        assert delivered.count == 2 * 10_000 * len(self.COLLECTORS)
+        assert len(delivered.items) == 2 * 10_000 * len(self.COLLECTORS)
         assert sink.report.disambiguated_timestamps == 10_000 * len(
             self.COLLECTORS
         )

@@ -12,38 +12,50 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    def test_lab_defaults(self):
-        arguments = build_parser().parse_args(["lab"])
-        assert arguments.command == "lab"
-        assert arguments.vendor is None
-
-    def test_classify_requires_file(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["classify"])
-
-    def test_simulate_scale_choices(self):
-        arguments = build_parser().parse_args(
-            ["simulate", "--scale", "mar20", "--seed", "7"]
-        )
-        assert arguments.scale == "mar20"
-        assert arguments.seed == 7
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["simulate", "--scale", "huge"])
+    @pytest.mark.parametrize("command", ["lab", "simulate", "classify"])
+    def test_removed_commands_rejected(self, command, capsys):
+        # `scenario run lab-baseline`, `scenario run internet-small` and
+        # `scenario run mrt-replay --input FILE` replace the three.
+        with pytest.raises(SystemExit) as info:
+            main([command])
+        assert info.value.code == 2
+        assert f"invalid choice: {command!r}" in capsys.readouterr().err
 
 
 class TestLabCommand:
-    def test_single_vendor_matrix(self, capsys):
-        assert main(["lab", "--vendor", "junos"]) == 0
+    """The §3 lab matrix for one vendor: ``scenario run --spec-file``."""
+
+    def test_single_vendor_matrix(self, tmp_path, capsys):
+        assert main(_lab_spec_file(tmp_path, "junos")) == 0
         out = capsys.readouterr().out
         assert "Junos" in out
         assert "exp4" in out
 
-    def test_unknown_vendor_fails_cleanly(self, capsys):
-        assert main(["lab", "--vendor", "nokia"]) == 2
+    def test_unknown_vendor_fails_cleanly(self, tmp_path, capsys):
+        assert main(_lab_spec_file(tmp_path, "nokia")) == 2
         assert "unknown vendor" in capsys.readouterr().err
 
 
+def _lab_spec_file(tmp_path, vendor):
+    import json
+
+    path = tmp_path / "lab.json"
+    path.write_text(
+        json.dumps(
+            {
+                "name": "lab-one",
+                "kind": "lab",
+                "lab": {"vendors": [vendor]},
+                "collectors": ["lab_matrix"],
+            }
+        )
+    )
+    return ["scenario", "run", "--spec-file", str(path)]
+
+
 class TestClassifyCommand:
+    """Classifying an MRT archive: ``scenario run mrt-replay --input``."""
+
     def test_classifies_archive(self, tmp_path, capsys):
         # Build a small archive via the simulator.
         from repro.netbase import Prefix
@@ -62,20 +74,67 @@ class TestClassifyCommand:
         archive = tmp_path / "updates.mrt"
         archive.write_bytes(collector.dump_mrt())
 
-        assert main(["classify", str(archive)]) == 0
+        assert main(_replay(archive)) == 0
         out = capsys.readouterr().out
-        assert "Table 1" in out
-        assert "Announcements" in out
+        assert "Collector: table1" in out
+        assert "announcements" in out
+        assert "Table 2: announcement types" in out
 
     def test_missing_file_fails_cleanly(self, capsys):
-        assert main(["classify", "/nonexistent/file.mrt"]) == 2
+        assert main(_replay("/nonexistent/file.mrt")) == 2
         assert "cannot open" in capsys.readouterr().err
 
-    def test_empty_archive_reports_error(self, tmp_path, capsys):
+    def test_empty_archive_decodes_zero_records(self, tmp_path, capsys):
         empty = tmp_path / "empty.mrt"
         empty.write_bytes(b"")
-        assert main(["classify", str(empty)]) == 1
-        assert "no update messages" in capsys.readouterr().err
+        assert main(_replay(empty)) == 0
+        assert "0 records decoded" in capsys.readouterr().out
+
+    def test_strict_replay_of_truncated_archive_exits_cleanly(
+        self, tmp_path, capsys
+    ):
+        from repro.obs import read_journal
+
+        archive = tmp_path / "updates.mrt"
+        archive.write_bytes(_spilled_archive()[:-7])
+        journal = tmp_path / "run.jsonl"
+        argv = _replay(archive, "mrt-replay-strict")
+        assert main(argv + ["--journal", str(journal)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert str(archive) in err
+        assert "truncated" in err
+        events = [event["event"] for event in read_journal(str(journal))]
+        assert events[0] == "start"
+        assert events[-1] == "fail"
+
+
+def _replay(path, scenario="mrt-replay"):
+    return ["scenario", "run", scenario, "--input", str(path)]
+
+
+def _spilled_archive() -> bytes:
+    """The bytes of a topology-tiny day's spilled single-feed archive."""
+    import dataclasses
+    import os
+
+    from repro.scenarios import get_scenario, run_scenario
+
+    base = get_scenario("topology-tiny")
+    spec = dataclasses.replace(
+        base,
+        internet=dataclasses.replace(
+            base.internet,
+            archive_policy="mrt-spill",
+            collector_names=("rrc00",),
+        ),
+    )
+    path = run_scenario(spec).spill_paths["rrc00"]
+    try:
+        with open(path, "rb") as handle:
+            return handle.read()
+    finally:
+        os.unlink(path)
 
 
 class TestScenarioParser:

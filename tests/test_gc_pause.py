@@ -125,33 +125,26 @@ class TestCollectorStateRestored:
     def test_paused_during_the_run_and_restored_after(self):
         seen = []
 
-        def hook(count, proxy):
+        def hook(payload):
             seen.append(gc.isenabled())
-            return False
 
         with _collector_enabled():
-            run_scenario(self._spec(), early_stop=hook)
+            run_scenario(self._spec(), heartbeat_every=1, on_heartbeat=hook)
             assert gc.isenabled()
         assert seen and not any(seen)
-
-    def test_restored_after_early_stop(self):
-        with _collector_enabled():
-            result = run_scenario(
-                self._spec(), early_stop=lambda count, proxy: count >= 5
-            )
-            assert result.stopped_early
-            assert gc.isenabled()
 
     def test_restored_after_an_exception(self):
         class Boom(Exception):
             pass
 
-        def hook(count, proxy):
+        def hook(payload):
             raise Boom()
 
         with _collector_enabled():
             with pytest.raises(Boom):
-                run_scenario(self._spec(), early_stop=hook)
+                run_scenario(
+                    self._spec(), heartbeat_every=1, on_heartbeat=hook
+                )
             assert gc.isenabled()
 
     def test_caller_disabled_collector_stays_disabled(self):
@@ -173,13 +166,17 @@ class TestCollectorStateRestored:
             assert gc.isenabled()
 
     def test_classify_command_runs_paused(self, monkeypatch, spilled_archive):
+        # `scenario run mrt-replay --input` is the CLI's archive path.
         seen = []
-        monkeypatch.setattr(
-            cli,
-            "_print_day_tables",
-            lambda *args, **kwargs: seen.append(gc.isenabled()),
-        )
+        push = engine._MetricsPump.push
+
+        def spy(pump, observation):
+            seen.append(gc.isenabled())
+            push(pump, observation)
+
+        monkeypatch.setattr(engine._MetricsPump, "push", spy)
         with _collector_enabled():
-            assert cli.main(["classify", spilled_archive]) == 0
+            argv = ["scenario", "run", "mrt-replay", "--input", spilled_archive]
+            assert cli.main(argv) == 0
             assert gc.isenabled()
-        assert seen == [False]
+        assert seen and not any(seen)

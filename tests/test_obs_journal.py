@@ -20,7 +20,7 @@ class TestRunJournal:
         with RunJournal(path) as journal:
             journal.write("start", name="demo")
             journal.heartbeat(observations=100, elapsed=2.0)
-            journal.write("finish", stopped_early=False)
+            journal.write("finish")
         events = read_journal(path)
         assert [event["event"] for event in events] == [
             "start",

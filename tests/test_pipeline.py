@@ -3,7 +3,7 @@
 The refactor's contract is strict: streaming must be a pure
 re-plumbing.  Batch analysis of a finished archive, live-sink
 analysis during the run, and replay of a spilled MRT archive must all
-produce identical metrics, and the bounded archive policies must
+produce identical metrics, and the ``mrt-spill`` archive policy must
 bound memory without changing anything the analysis layer sees.
 """
 
@@ -19,19 +19,13 @@ from repro.analysis.observations import (
     observations_from_collector,
 )
 from repro.pipeline import (
-    CallbackSink,
-    CountingSink,
     ListArchive,
     MrtSpillArchive,
-    ObservationStream,
-    PipelineStop,
-    RingArchive,
     SequenceView,
-    Tee,
     make_archive,
     parse_archive_policy,
-    replay_mrt,
 )
+from repro.pipeline.sinks import SinkBase
 from repro.scenarios import get_scenario, make_collectors, run_scenario
 from repro.scenarios.collectors import ScenarioContext
 from repro.scenarios.engine import internet_config_from_spec
@@ -39,24 +33,39 @@ from repro.simulator.session import BGPSession
 from repro.workloads import InternetModel
 
 
+class _ListSink(SinkBase):
+    """A sink that appends every pushed item to *items*."""
+
+    def __init__(self, items):
+        self.items = items
+
+    def push(self, item):
+        self.items.append(item)
+
+
 # ----------------------------------------------------------------------
 # plumbing units
 # ----------------------------------------------------------------------
 class TestParseArchivePolicy:
     def test_full(self):
-        assert parse_archive_policy("full") == ("full", None)
-
-    def test_ring(self):
-        assert parse_archive_policy("ring:128") == ("ring", 128)
+        assert parse_archive_policy("full") == "full"
 
     def test_mrt_spill(self):
-        assert parse_archive_policy("mrt-spill") == ("mrt-spill", None)
+        assert parse_archive_policy("mrt-spill") == "mrt-spill"
 
     def test_case_and_whitespace(self):
-        assert parse_archive_policy(" RING:5 ") == ("ring", 5)
+        # The spec is hashed with the raw string: a second spelling of
+        # one policy would give one run a second cache key.
+        for spelling in ("FULL", " Full ", "MRT-SPILL"):
+            with pytest.raises(ValueError, match="unknown archive_policy"):
+                parse_archive_policy(spelling)
 
     @pytest.mark.parametrize(
-        "bad", ["", "ringo", "ring:", "ring:0", "ring:-3", "ring:x", None]
+        "bad",
+        [
+            "", "ringo", "ring:", "ring:0", "ring:-3", "ring:x", "ring:16",
+            None,
+        ],
     )
     def test_rejects_garbage(self, bad):
         with pytest.raises(ValueError):
@@ -81,48 +90,16 @@ class TestSequenceView:
         assert SequenceView([1, 2]) != [2, 1]
 
 
-class TestTeeAndCounting:
-    def test_fan_out_order_and_close(self):
-        seen = []
-        tee = Tee()
-        tee.attach(CallbackSink(lambda item: seen.append(("a", item))))
-        counter = tee.attach(CountingSink())
-        tee.push(1)
-        tee.push(2)
-        tee.close()
-        assert seen == [("a", 1), ("a", 2)]
-        assert counter.count == 2
-
-    def test_detach(self):
-        counter = CountingSink()
-        tee = Tee([counter])
-        tee.push(1)
-        tee.detach(counter)
-        tee.push(2)
-        assert counter.count == 1
-
-
 class TestArchives:
-    def test_ring_bounds_memory(self):
-        ring = RingArchive(3)
-        for item in range(10):
-            ring.push(item)
-        assert list(ring.retained) == [7, 8, 9]
-        assert ring.total_archived == 10
-        assert ring.dropped == 7
-        assert ring.clear() == 10
-        assert ring.total_archived == 0
-
     def test_list_archive_keeps_everything(self):
         archive = ListArchive()
         for item in range(5):
             archive.push(item)
         assert list(archive.retained) == list(range(5))
-        assert archive.dropped == 0
+        assert archive.total_archived == 5
 
     def test_make_archive_dispatch(self):
         assert isinstance(make_archive("full"), ListArchive)
-        assert isinstance(make_archive("ring:4"), RingArchive)
         spill = make_archive("mrt-spill")
         assert isinstance(spill, MrtSpillArchive)
         spill.unlink()
@@ -177,7 +154,7 @@ class TestCleaningStreaming:
         pipeline = CleaningPipeline(max_prefix_length_v4=24)
         batch, batch_report = pipeline.run(tiny_observations)
         out = []
-        sink = pipeline.sink(CallbackSink(out.append))
+        sink = pipeline.sink(_ListSink(out))
         for observation in tiny_observations:
             sink.push(observation)
         assert out == batch
@@ -216,7 +193,7 @@ class TestCollectorSinks:
         BGPSession._counter = 0
         model = InternetModel(config)
         live = []
-        model.attach_collector_sink(CallbackSink(live.append))
+        model.attach_collector_sink(_ListSink(live))
         day = model.run()
         archived = []
         for collector in day.collectors():
@@ -235,19 +212,7 @@ class TestCollectorSinks:
         model = InternetModel(config)
         model.build()
         with pytest.raises(RuntimeError):
-            model.attach_collector_sink(CountingSink())
-
-    def test_ring_policy_bounds_collector_memory(self):
-        config = internet_config_from_spec(get_scenario("topology-tiny"))
-        config.archive_policy = "ring:64"
-        BGPSession._counter = 0
-        day = InternetModel(config).run()
-        for collector in day.collectors():
-            assert len(collector.records) <= 64
-            assert collector.message_count() > 64
-            assert collector.dropped_records == (
-                collector.message_count() - len(collector.records)
-            )
+            model.attach_collector_sink(_ListSink([]))
 
     def test_deterministic_local_address_outside_router_id_range(self):
         config = internet_config_from_spec(get_scenario("topology-tiny"))
@@ -284,9 +249,7 @@ def _batch_metrics(spec):
         observations.extend(observations_from_collector(collector))
     observations.sort(key=lambda obs: obs.timestamp)
     proxy.start(
-        ScenarioContext(
-            spec, beacon_prefixes=set(day.beacon_prefixes), day=day
-        )
+        ScenarioContext(spec, beacon_prefixes=set(day.beacon_prefixes))
     )
     for observation in observations:
         proxy.observe(observation)
@@ -326,7 +289,7 @@ class TestLiveStreamingEquivalence:
 
         base = get_scenario("topology-tiny")
         results = {}
-        for policy in ("full", "ring:32", "mrt-spill"):
+        for policy in ("full", "mrt-spill"):
             spec = dataclasses.replace(
                 base,
                 internet=dataclasses.replace(
@@ -336,51 +299,13 @@ class TestLiveStreamingEquivalence:
             BGPSession._counter = 0
             result = run_scenario(spec)
             results[policy] = result.metrics
+            assert bool(result.spill_paths) == (policy == "mrt-spill")
             for path in result.spill_paths.values():
                 os.unlink(path)
-        assert results["full"] == results["ring:32"]
         assert results["full"] == results["mrt-spill"]
 
 
 class TestEngineHooks:
-    def test_early_stop_aborts_mid_run(self):
-        spec = get_scenario("topology-tiny")
-        BGPSession._counter = 0
-        full = run_scenario(spec)
-        total = full.metrics["update_counts"]["observations"]
-        assert total > 50
-        BGPSession._counter = 0
-        stopped = run_scenario(
-            spec, early_stop=lambda count, proxy: count >= 50
-        )
-        assert stopped.stopped_early
-        assert stopped.metrics["update_counts"]["observations"] == 50
-        assert not full.stopped_early
-
-    def test_snapshots_accumulate_monotonically(self):
-        spec = get_scenario("topology-tiny")
-        BGPSession._counter = 0
-        result = run_scenario(spec, snapshot_every=100)
-        assert result.snapshots
-        counts = [snap["observations"] for snap in result.snapshots]
-        assert counts == sorted(counts)
-        observed = [
-            snap["metrics"]["update_counts"]["observations"]
-            for snap in result.snapshots
-        ]
-        assert observed == counts
-        # The final metrics continue past the last snapshot.
-        assert (
-            result.metrics["update_counts"]["observations"] >= counts[-1]
-        )
-
-    def test_default_run_has_no_snapshots(self):
-        BGPSession._counter = 0
-        result = run_scenario(get_scenario("topology-tiny"))
-        assert result.snapshots == []
-        assert result.stopped_early is False
-        assert result.spill_paths == {}
-
     def test_spill_run_surfaces_flushed_archives(self):
         import os
 
@@ -425,18 +350,21 @@ class TestSpecKnobs:
         from repro.scenarios import ScenarioValidationError
         from repro.scenarios.spec import InternetSpec, ScenarioSpec
 
-        spec = ScenarioSpec(
-            name="x",
-            kind="internet",
-            internet=InternetSpec(archive_policy="ring:0"),
-        )
-        with pytest.raises(ScenarioValidationError) as err:
-            spec.validate()
-        assert "archive_policy" in str(err.value)
-        good = dataclasses.replace(
-            spec, internet=InternetSpec(archive_policy="ring:16")
-        )
-        good.validate()
+        spec = ScenarioSpec(name="x", kind="internet")
+        # Another spelling of a valid policy would hash to a second
+        # spec_hash for the same run, so it is rejected too.
+        for policy in ("ring:0", "ring:16", "FULL", " Full "):
+            bad = dataclasses.replace(
+                spec, internet=InternetSpec(archive_policy=policy)
+            )
+            with pytest.raises(ScenarioValidationError) as err:
+                bad.validate()
+            assert "archive_policy" in str(err.value)
+        for policy in ("full", "mrt-spill"):
+            good = dataclasses.replace(
+                spec, internet=InternetSpec(archive_policy=policy)
+            )
+            good.validate()
 
     def test_collector_names_threads_through(self):
         import dataclasses
@@ -496,24 +424,3 @@ class TestSpecKnobs:
             mrt, mrt=dataclasses.replace(mrt.mrt, path="/tmp/x.mrt")
         )
         assert spec_from_json(spec_to_json(mrt)) == mrt
-
-
-class TestPipelineStopPropagation:
-    def test_sink_raising_stop_reaches_caller(self, tiny_day, tmp_path):
-        collector = tiny_day.collectors()[0]
-        path = tmp_path / "dump.mrt"
-        path.write_bytes(collector.dump_mrt())
-
-        class Bomb:
-            count = 0
-
-            def push(self, observation):
-                self.count += 1
-                if self.count >= 10:
-                    raise PipelineStop()
-
-            def close(self):
-                pass
-
-        with pytest.raises(PipelineStop):
-            replay_mrt(str(path), Bomb(), collector=collector.name)

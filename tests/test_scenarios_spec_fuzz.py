@@ -109,9 +109,7 @@ def _internet_section(rng: random.Random) -> InternetSpec:
         delivery_batching=_maybe(rng, lambda: rng.random() < 0.5),
         archive_policy=_maybe(
             rng,
-            lambda: rng.choice(
-                ("full", "mrt-spill", f"ring:{rng.randint(1, 4096)}")
-            ),
+            lambda: rng.choice(("full", "mrt-spill")),
         ),
         collector_names=_maybe(
             rng,
