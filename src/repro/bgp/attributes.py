@@ -31,6 +31,11 @@ from repro.netbase.asn import ASN
 Origin = OriginCode
 
 
+#: Default of every :meth:`PathAttributes.replace` parameter: keep the
+#: field as it is (``None`` is a real value there: it clears a field).
+_KEEP = object()
+
+
 def _check_metric_range(value: "Optional[int]", label: str) -> None:
     """Shared MED/LOCAL_PREF range check (used by __init__ and replace)."""
     if value is not None and not 0 <= value <= 0xFFFFFFFF:
@@ -153,63 +158,80 @@ class PathAttributes:
     # ------------------------------------------------------------------
     # derivation
     # ------------------------------------------------------------------
-    def replace(self, **changes) -> "PathAttributes":
+    def replace(
+        self,
+        *,
+        origin=_KEEP,
+        as_path=_KEEP,
+        next_hop=_KEEP,
+        med=_KEEP,
+        local_pref=_KEEP,
+        communities=_KEEP,
+        atomic_aggregate=_KEEP,
+        aggregator=_KEEP,
+        originator_id=_KEEP,
+        cluster_list=_KEEP,
+        extra=_KEEP,
+        **unknown,
+    ) -> "PathAttributes":
         """Return a copy with the named fields replaced.
 
         Accepts the constructor keyword names.  ``None`` is a valid new
         value for optional fields (it clears them).
 
-        This is the simulator's hottest allocation site, so the clone
-        copies slots directly and normalizes/validates only the fields
-        that actually change — unchanged fields are already normal.
+        This is the simulator's hottest allocation site and the one way
+        to derive an attribute set, so the clone copies slots directly
+        and normalizes/validates only the fields that are passed —
+        unchanged fields are already normal.
         """
+        if unknown:
+            raise AttributeError_(
+                f"unknown attribute fields: {sorted(unknown)}"
+            )
         clone = PathAttributes.__new__(PathAttributes)
-        clone._origin = self._origin
-        clone._as_path = self._as_path
-        clone._next_hop = self._next_hop
-        clone._med = self._med
-        clone._local_pref = self._local_pref
-        clone._communities = self._communities
-        clone._atomic_aggregate = self._atomic_aggregate
-        clone._aggregator = self._aggregator
-        clone._originator_id = self._originator_id
-        clone._cluster_list = self._cluster_list
-        clone._extra = self._extra
-        for field, value in changes.items():
-            if field == "next_hop":
-                clone._next_hop = value
-            elif field == "med":
-                _check_metric_range(value, "MED")
-                clone._med = value
-            elif field == "local_pref":
-                _check_metric_range(value, "LOCAL_PREF")
-                clone._local_pref = value
-            elif field == "communities":
-                clone._communities = (
-                    value if value is not None else CommunitySet.empty()
-                )
-            elif field == "as_path":
-                clone._as_path = (
-                    value if value is not None else ASPath.empty()
-                )
-            elif field == "origin":
-                clone._origin = OriginCode(value)
-            elif field == "atomic_aggregate":
-                clone._atomic_aggregate = bool(value)
-            elif field == "aggregator":
-                clone._aggregator = value
-            elif field == "originator_id":
-                clone._originator_id = value
-            elif field == "cluster_list":
-                clone._cluster_list = tuple(value)
-            elif field == "extra":
-                clone._extra = tuple(sorted(value))
-            else:
-                known = {slot.lstrip("_") for slot in self.__slots__}
-                unknown = sorted(set(changes) - known)
-                raise AttributeError_(
-                    f"unknown attribute fields: {unknown}"
-                )
+        clone._origin = (
+            self._origin if origin is _KEEP else OriginCode(origin)
+        )
+        if as_path is _KEEP:
+            clone._as_path = self._as_path
+        elif as_path is None:
+            clone._as_path = ASPath.empty()
+        else:
+            clone._as_path = as_path
+        clone._next_hop = self._next_hop if next_hop is _KEEP else next_hop
+        if med is _KEEP:
+            med = self._med
+        elif med is not None:
+            _check_metric_range(med, "MED")
+        clone._med = med
+        if local_pref is _KEEP:
+            local_pref = self._local_pref
+        elif local_pref is not None:
+            _check_metric_range(local_pref, "LOCAL_PREF")
+        clone._local_pref = local_pref
+        if communities is _KEEP:
+            clone._communities = self._communities
+        elif communities is None:
+            clone._communities = CommunitySet.empty()
+        else:
+            clone._communities = communities
+        clone._atomic_aggregate = (
+            self._atomic_aggregate
+            if atomic_aggregate is _KEEP
+            else bool(atomic_aggregate)
+        )
+        clone._aggregator = (
+            self._aggregator if aggregator is _KEEP else aggregator
+        )
+        clone._originator_id = (
+            self._originator_id if originator_id is _KEEP else originator_id
+        )
+        clone._cluster_list = (
+            self._cluster_list
+            if cluster_list is _KEEP
+            else tuple(cluster_list)
+        )
+        clone._extra = self._extra if extra is _KEEP else tuple(sorted(extra))
         return clone
 
     def with_communities(self, communities: CommunitySet) -> "PathAttributes":
@@ -241,8 +263,7 @@ class PathAttributes:
         )
 
     def _key(self) -> tuple:
-        # Cached (the slot stays unset until first use): duplicate
-        # detection compares attribute sets on every advertisement.
+        # The hash key; cached (the slot stays unset until first use).
         try:
             return self._key_cache
         except AttributeError:
@@ -262,11 +283,33 @@ class PathAttributes:
             return self._key_cache
 
     def __eq__(self, other: object) -> bool:
+        # Slot by slot, no key tuples: duplicate detection compares
+        # attribute sets on every advertisement.  AS path and
+        # communities are usually shared objects, so identity decides
+        # them before their own (deeper) comparisons run.
         if self is other:
             return True
         if not isinstance(other, PathAttributes):
             return NotImplemented
-        return self._key() == other._key()
+        return (
+            self._next_hop == other._next_hop
+            and self._med == other._med
+            and self._local_pref == other._local_pref
+            and (
+                self._as_path is other._as_path
+                or self._as_path == other._as_path
+            )
+            and (
+                self._communities is other._communities
+                or self._communities == other._communities
+            )
+            and self._origin is other._origin
+            and self._atomic_aggregate is other._atomic_aggregate
+            and self._aggregator == other._aggregator
+            and self._originator_id == other._originator_id
+            and self._cluster_list == other._cluster_list
+            and self._extra == other._extra
+        )
 
     def __hash__(self) -> int:
         return hash(self._key())

@@ -135,10 +135,21 @@ class UpdateMessage(BGPMessage):
     def announce(
         cls, prefixes: "Sequence[Prefix] | Prefix", attributes: PathAttributes
     ) -> "UpdateMessage":
-        """Build a pure announcement."""
-        if isinstance(prefixes, Prefix):
-            prefixes = (prefixes,)
-        return cls(announced=prefixes, attributes=attributes)
+        """Build a pure announcement.
+
+        One :class:`Prefix` is already valid NLRI, so it skips the
+        constructor's per-prefix checks: routers announce one prefix
+        per UPDATE.
+        """
+        if not isinstance(prefixes, Prefix):
+            return cls(announced=prefixes, attributes=attributes)
+        if attributes is None:
+            raise MessageError("announcement without path attributes")
+        message = cls.__new__(cls)
+        message._announced = (prefixes,)
+        message._withdrawn = ()
+        message._attributes = attributes
+        return message
 
     @classmethod
     def withdraw(cls, prefixes: "Sequence[Prefix] | Prefix") -> "UpdateMessage":

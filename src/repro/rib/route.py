@@ -69,6 +69,37 @@ class Route:
         self._learned_at = float(learned_at)
         self._rank: "tuple[int, int, int] | None" = None
 
+    @classmethod
+    def learned(
+        cls,
+        prefix: Prefix,
+        attributes: PathAttributes,
+        source: RouteSource,
+        peer_id: str,
+        peer_asn: ASN,
+        peer_address: str,
+        igp_cost: int,
+        learned_at: float,
+    ) -> "Route":
+        """A route learned on a session, from already-normal metadata.
+
+        Equal to ``Route(...)`` with the same values, without the
+        constructor's coercions: *peer_asn* is an :class:`ASN`,
+        *igp_cost* an ``int`` and *learned_at* a ``float``.  Every
+        received UPDATE builds one.
+        """
+        route = cls.__new__(cls)
+        route._prefix = prefix
+        route._attributes = attributes
+        route._source = source
+        route._peer_id = peer_id
+        route._peer_asn = peer_asn
+        route._peer_address = peer_address
+        route._igp_cost = igp_cost
+        route._learned_at = learned_at
+        route._rank = None
+        return route
+
     # ------------------------------------------------------------------
     # accessors
     # ------------------------------------------------------------------

@@ -37,6 +37,9 @@ from repro.rib.route import Route, RouteSource
 from repro.simulator.session import BGPSession, SessionKind
 from repro.vendors.profiles import CISCO_IOS, VendorProfile
 
+#: An update group whose export is not computed yet (None is a result).
+_UNSEEN = object()
+
 
 class Router:
     """One BGP speaker inside one AS."""
@@ -209,32 +212,38 @@ class Router:
     ) -> None:
         """Run one UPDATE through import, decision and propagation."""
         self.received_updates += 1
-        # Changed prefix -> its Adj-RIB-In entry before this message.
-        dirty: Dict[Prefix, Optional[Route]] = {}
+        # (prefix, its Adj-RIB-In entry before this message) per change.
+        changes: "list[tuple[Prefix, Route | None]]" = []
         for prefix in message.withdrawn:
             previous = rib_in.withdraw(prefix)
             if previous is not None:
-                dirty.setdefault(prefix, previous)
-        if message.announced:
-            assert message.attributes is not None
-            for prefix in message.announced:
-                previous = rib_in.get(prefix)
-                route = self._import_route(session, prefix, message.attributes)
-                if route is None:
-                    # Rejected: withdraws what the peer sent before.
-                    if previous is None:
-                        continue
-                    rib_in.withdraw(prefix)
-                elif route == previous:
+                changes.append((prefix, previous))
+        attributes = message.attributes
+        for prefix in message.announced:
+            previous = rib_in.get(prefix)
+            route = self._import_route(session, prefix, attributes)
+            if route is None:
+                # Rejected: withdraws what the peer sent before.
+                if previous is None:
                     continue
-                else:
-                    rib_in.install(route)
-                dirty.setdefault(prefix, previous)
+                rib_in.withdraw(prefix)
+            elif route == previous:
+                continue
+            else:
+                rib_in.install(route)
+            changes.append((prefix, previous))
+        if len(changes) > 1:
+            # Several prefixes: decide each once, in prefix order, from
+            # its entry before the whole message.
+            before: "Dict[Prefix, Optional[Route]]" = {}
+            for prefix, previous in changes:
+                before.setdefault(prefix, previous)
+            changes = sorted(before.items())
         # A down session's routes are no candidates: decide in full.
         established = session.established
-        for prefix in sorted(dirty):
+        for prefix, previous in changes:
             if established:
-                self._reconsider(prefix, (dirty[prefix], rib_in.get(prefix)))
+                self._reconsider(prefix, (previous, rib_in.get(prefix)))
             else:
                 self._reconsider(prefix)
 
@@ -260,11 +269,11 @@ class Router:
         else:
             # Permissive chain: identity transform, no context needed.
             imported = attributes
+        peer_address = self._peer_addresses[key]
         if is_ebgp:
             # eBGP ingress: next hop becomes the peer's session address;
             # LOCAL_PREF is never accepted from an external neighbor.
             # (Usually already true on the wire — skip the copy then.)
-            peer_address = self._peer_addresses[key]
             if (
                 imported.next_hop != peer_address
                 or imported.local_pref is not None
@@ -272,20 +281,16 @@ class Router:
                 imported = imported.replace(
                     next_hop=peer_address, local_pref=None
                 )
-        return Route(
+        return Route.learned(
             prefix,
             imported,
-            source=(RouteSource.EBGP if is_ebgp else RouteSource.IBGP),
-            peer_id=self._peer_ids[key],
-            peer_asn=self._peer_asns[key],
-            peer_address=self._peer_addresses[key],
-            igp_cost=self._igp_cost_via(session),
-            learned_at=self._network.queue.now,
+            RouteSource.EBGP if is_ebgp else RouteSource.IBGP,
+            self._peer_ids[key],
+            self._peer_asns[key],
+            peer_address,
+            self._network.igp_cost(self, session),
+            self._network.queue.now,
         )
-
-    def _igp_cost_via(self, session: BGPSession) -> int:
-        """IGP distance to a next hop reached through *session*."""
-        return self._network.igp_cost(self, session)
 
     # ------------------------------------------------------------------
     # decision + propagation
@@ -338,29 +343,32 @@ class Router:
     def _propagate_route(self, prefix: Prefix, route: Route) -> None:
         """Advertise the new best route; one export per update group."""
         # _egress_for's scoping rules, decided once per session kind.
-        exportable = {
-            True: honor_no_export(route.attributes, is_ebgp=True),
-            False: route.source != RouteSource.IBGP
-            and honor_no_export(route.attributes, is_ebgp=False),
-        }
+        attributes = route.attributes
+        ebgp_exportable = honor_no_export(attributes, is_ebgp=True)
+        ibgp_exportable = route.source is not RouteSource.IBGP and (
+            honor_no_export(attributes, is_ebgp=False)
+        )
+        peer_id = route.peer_id
+        peer_ids = self._peer_ids
         groups: "Dict[tuple, PathAttributes | None]" = {}
         for session in self._sessions:
             if not session.established:
                 continue
             key = session.session_id
             is_ebgp = session.is_ebgp
-            if not exportable[is_ebgp] or route.peer_id == self._peer_ids[key]:
+            if peer_id == peer_ids[key] or not (
+                ebgp_exportable if is_ebgp else ibgp_exportable
+            ):
                 self._withdraw_from_peer(session, prefix)
                 continue
             group = (is_ebgp, self._policies[key].export_chain)
-            if group not in groups:
-                groups[group] = self._export_attributes(route, session)
-                egress = groups[group]
-            elif groups[group] is not None and is_ebgp:
-                next_hop = self._local_addresses[key]
-                egress = groups[group].replace(next_hop=next_hop)
-            else:
-                egress = groups[group]
+            egress = groups.get(group, _UNSEEN)
+            if egress is _UNSEEN:
+                egress = groups[group] = self._export_attributes(
+                    route, session
+                )
+            elif egress is not None and is_ebgp:
+                egress = egress.replace(next_hop=self._local_addresses[key])
             if egress is None:
                 self._withdraw_from_peer(session, prefix)
                 continue
@@ -395,37 +403,41 @@ class Router:
         """Compute the attributes as they would appear on the wire."""
         key = session.session_id
         attributes = route.attributes
-        if session.is_ebgp:
-            changes = {
-                "next_hop": self._local_addresses[key],
-                "local_pref": None,
-            }
-            if not self.transparent:
-                changes["as_path"] = attributes.as_path.prepend(self.asn)
+        is_ebgp = session.is_ebgp
+        if is_ebgp:
+            as_path = attributes.as_path
+            med = attributes.med
             if (
-                self.vendor.reset_med_on_ebgp_export
-                and route.source != RouteSource.LOCAL
-                and attributes.med is not None
+                med is not None
+                and self.vendor.reset_med_on_ebgp_export
+                and route.source is not RouteSource.LOCAL
             ):
                 # MED is non-transitive: it crosses exactly one AS
                 # border.  A locally-originated MED is sent to the
                 # neighbor; a received MED is never re-exported.
-                changes["med"] = None
-            attributes = attributes.replace(**changes)
+                med = None
+            attributes = attributes.replace(
+                next_hop=self._local_addresses[key],
+                local_pref=None,
+                as_path=(
+                    as_path if self.transparent else as_path.prepend(self.asn)
+                ),
+                med=med,
+            )
         else:
             # iBGP: preserve next hop (no next-hop-self by default) and
             # make LOCAL_PREF explicit for the internal peer.
-            ibgp_changes = {}
-            if attributes.local_pref is None:
-                ibgp_changes["local_pref"] = 100
-            if attributes.next_hop is None:
-                ibgp_changes["next_hop"] = self.router_id
-            if ibgp_changes:
-                attributes = attributes.replace(**ibgp_changes)
+            local_pref = attributes.local_pref
+            next_hop = attributes.next_hop
+            if local_pref is None or next_hop is None:
+                attributes = attributes.replace(
+                    local_pref=100 if local_pref is None else local_pref,
+                    next_hop=self.router_id if next_hop is None else next_hop,
+                )
         export_chain = self._policies[key].export_chain
         if not export_chain.steps:
             return attributes
-        context = PolicyContext(self.asn, route.prefix, is_ebgp=session.is_ebgp)
+        context = PolicyContext(self.asn, route.prefix, is_ebgp=is_ebgp)
         return export_chain.apply(attributes, context)
 
     def _advertise(
@@ -489,24 +501,23 @@ class Router:
         routes whose egress attributes actually differ from the
         Adj-RIB-Out entry are re-advertised, so an unchanged policy
         refresh is silent on the wire.  Returns the number of messages
-        sent.
+        put on the wire now: advertisements that MRAI holds back leave
+        with its timer and are not counted here.
         """
         if not session.established:
             return 0
-        sent = 0
+        sent_before = self.sent_updates + self.sent_withdrawals
         rib_out = self._adj_rib_out[session.session_id]
         for prefix in sorted(self._loc_rib.prefixes()):
             egress = self._egress_for(self._loc_rib.get(prefix), session)
             if egress is None:
                 if rib_out.is_advertised(prefix):
                     self._withdraw_from_peer(session, prefix)
-                    sent += 1
                 continue
             if rib_out.last_advertised(prefix) == egress:
                 continue
             self._advertise(session, prefix, egress)
-            sent += 1
-        return sent
+        return self.sent_updates + self.sent_withdrawals - sent_before
 
     # ------------------------------------------------------------------
     # session state callbacks

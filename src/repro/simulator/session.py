@@ -137,7 +137,12 @@ class BGPSession:
         """
         if not self.established:
             return False
-        receiver = self.other(sender)
+        if sender is self._node_a:
+            receiver = self._node_b
+        elif sender is self._node_b:
+            receiver = self._node_a
+        else:
+            raise ValueError(f"{sender!r} is not an endpoint of {self!r}")
         queue = self._network.queue
         if self.taps:
             now = queue.now

@@ -2,7 +2,7 @@
 
 from repro.bgp.attributes import PathAttributes
 from repro.bgp.aspath import ASPath
-from repro.netbase import Prefix
+from repro.netbase import ASN, Prefix
 from repro.rib.adj_rib import AdjacencyIndex, AdjRIBIn
 from repro.rib.loc_rib import LocRIB
 from repro.rib.route import Route, RouteSource
@@ -102,3 +102,21 @@ class TestLocRIBUpdate:
         assert changed
         assert previous is not None
         assert self.rib.get(PREFIX).attributes.med == 10
+
+
+class TestLearnedRoute:
+    def test_learned_matches_the_constructor(self):
+        attributes = PathAttributes(as_path=ASPath.from_asns((65010,)))
+        fields = dict(
+            source=RouteSource.EBGP,
+            peer_id="192.0.2.1",
+            peer_asn=ASN(65010),
+            peer_address="10.0.0.1",
+            igp_cost=5,
+            learned_at=12.5,
+        )
+        learned = Route.learned(PREFIX, attributes, *fields.values())
+        built = Route(PREFIX, attributes, **fields)
+        assert learned == built and hash(learned) == hash(built)
+        for name in ("prefix", "attributes", *fields, "rank", "neighbor_asn"):
+            assert getattr(learned, name) == getattr(built, name)

@@ -1,5 +1,8 @@
 """Engine: spec -> result, and equivalence with the legacy drivers."""
 
+import dataclasses
+import json
+
 import pytest
 
 from repro.analysis import build_table2, observations_from_collector
@@ -115,6 +118,26 @@ class TestInternetEquivalence:
         second = run_scenario(tiny_spec())
         assert first.metrics == second.metrics
         assert first.spec_hash == second.spec_hash
+
+    def test_delivery_batching_leaves_metrics_unchanged(self):
+        # Per-session delays are drawn from a continuous range, so no
+        # two receivers share a fire time and coalescing same-time
+        # deliveries cannot reorder anything a collector sees.
+        spec = get_scenario("topology-tiny")
+        metrics = {}
+        for batching in (True, False):
+            variant = dataclasses.replace(
+                spec,
+                internet=dataclasses.replace(
+                    spec.internet, delivery_batching=batching
+                ),
+            )
+            config = internet_config_from_spec(variant)
+            assert config.delivery_batching is batching
+            result = run_scenario(variant)
+            metrics[batching] = json.dumps(result.metrics, sort_keys=True)
+        assert result.metrics["update_counts"]["observations"] > 0
+        assert metrics[True] == metrics[False]
 
     def test_seed_changes_the_day(self):
         baseline = run_scenario(tiny_spec())

@@ -284,6 +284,35 @@ class TestMRAI:
         last = collector.records[-1]
         assert Community.parse("65001:4") in last.message.attributes.communities
 
+    def test_refresh_exports_counts_only_messages_on_the_wire(self):
+        from repro.policy import SetMED
+
+        network = Network()
+        origin = network.add_router("origin", 65001)
+        middle = network.add_router("middle", 65002)
+        collector = network.add_collector("rrc", 12456)
+        network.connect(origin, middle)
+        export_session = network.connect(middle, collector, mrai=30.0)
+        prefixes = [Prefix(f"203.0.{index}.0/24") for index in range(3)]
+        for prefix in prefixes:
+            origin.originate(prefix)
+        network.converge()
+        middle.set_policy(
+            export_session,
+            RoutingPolicy(export_chain=PolicyChain((SetMED(50),))),
+        )
+        # Inside the MRAI window: all three changes are held back.
+        sent_before = middle.sent_updates
+        assert middle.refresh_exports(export_session) == 0
+        assert middle.sent_updates == sent_before
+        # The MRAI timer then sends them, with the new MED.
+        network.converge()
+        assert middle.sent_updates == sent_before + 3
+        assert all(
+            record.message.attributes.med == 50
+            for record in collector.records[-3:]
+        )
+
 
 class TestCollectorArchive:
     def test_mrt_dump_roundtrip(self):
