@@ -14,23 +14,16 @@ echo "== static analysis =="
 # memos (MEMO001), one cyclic-collector pause policy (GC001) and
 # atomic durable writes (DUR001).  Two infrastructure codes report
 # files that do not parse (SYN001) and malformed or unreasoned
-# waivers (SUP001); neither can be waived.  Exit 1 here means a
-# contract violation — fix it or
-# add a reasoned `# repro: allow(CODE) reason` waiver, don't baseline.
+# waivers (SUP001); neither can be waived.  There is no baseline
+# file: exit 1 here means a contract violation — fix it or add a
+# reasoned `# repro: allow(CODE) reason` waiver.
 python -m repro check src
-# The shipped baseline must stay empty: all grandfathering happens as
-# in-line reasoned waivers, never as silent bulk entries.
-python -c '
-import json
-baseline = json.load(open(".repro-check-baseline.json"))
-assert baseline["findings"] == [], (
-    "the shipped baseline must stay empty; use reasoned in-line"
-    " waivers instead: %r" % (baseline["findings"],)
-)
-'
 
 echo
 echo "== tier 1: test suite =="
+# Besides the equivalence contracts, tier 1 holds the timing gates
+# (tests/test_perf_gates.py): metrics overhead, the read-path floor
+# and the mrt-spill throughput floor.
 python -m pytest -x -q
 
 echo
@@ -173,40 +166,6 @@ echo "== end-to-end benchmark: pinned output digests =="
 # exits non-zero.  replay-mar20 is left out because generating its
 # input archives takes about a minute.
 python3 benchmarks/e2e/bench.py --workload sim-medium,sweep-tiny --seconds 1
-
-echo
-echo "== smoke: core benchmark harness =="
-# Write to a scratch file so a smoke run never rewrites the tracked
-# BENCH_core.json numbers.
-python benchmarks/bench_core.py --quick --output "$CACHE_DIR/BENCH_core.json"
-
-echo
-echo "== smoke: streaming pipeline benchmark =="
-# The bounded-memory and equivalence contracts are asserted on every
-# run; the throughput floor is relaxed here because the smoke rung is
-# a sub-second run on a shared box (the tracked BENCH_pipeline.json
-# numbers come from the strict default of 0.85).
-python benchmarks/bench_pipeline.py --quick --min-throughput-ratio 0.5 \
-    --output "$CACHE_DIR/BENCH_pipeline.json"
-
-echo
-echo "== smoke: read-path benchmark (verify + baseline floor) =="
-# Every bench_analysis run decodes the archive twice — memo caches on
-# and off — and requires bit-identical fingerprints and classification
-# counts.  The floor asserts decode+classify is no worse than the
-# recorded pre-overhaul baseline (the overhauled path runs at ~4x, so
-# 1.0 leaves plenty of headroom for shared-box noise).
-python benchmarks/bench_analysis.py --quick --min-throughput-ratio 1.0 \
-    --baseline BENCH_analysis.json \
-    --output "$CACHE_DIR/BENCH_analysis.json"
-
-echo
-echo "== smoke: instrumentation overhead benchmark =="
-# Metrics enabled vs disabled, interleaved best-of.  The tracked
-# BENCH_obs.json numbers pin the strict 5% budget; the smoke rung
-# relaxes it because a sub-second run on a shared box wobbles.
-python benchmarks/bench_obs.py --quick --max-overhead 0.15 \
-    --output "$CACHE_DIR/BENCH_obs.json"
 
 echo
 echo "== smoke: mrt-replay of a spilled archive =="

@@ -97,9 +97,9 @@ _ADDR4_STATS = memo_counters("wire.addr4")
 def set_decode_memo(enabled: bool) -> bool:
     """Enable/disable (and clear) the attribute-decode memo caches.
 
-    Returns the previous setting.  The benchmark's verify mode decodes
-    every archive twice — memo on and off — and asserts bit-identical
-    results, proving the caches are a pure optimization.
+    Returns the previous setting.  The read-path tests decode archives
+    twice — memo on and off — and assert bit-identical results,
+    proving the caches are a pure optimization.
     """
     global _memo_enabled
     previous = _memo_enabled

@@ -30,8 +30,8 @@ Use it three ways, all the same pipeline:
 * CI: ``scripts/ci.sh`` runs the tree check before the test tiers.
 
 Waivers: ``# repro: allow(CODE) reason`` on (or directly above) the
-line, reason mandatory; bulk grandfathering via the checked-in —
-and deliberately empty — ``.repro-check-baseline.json``.
+line, reason mandatory.  There is no bulk grandfathering: any finding
+not waived in-line fails the check.
 
 The package depends on nothing outside the stdlib (``ast`` does the
 work) and nothing in it is imported by the runtime modules it checks.
@@ -58,43 +58,25 @@ from repro.devtools.project import (
     load_module,
     parse_module,
 )
-from repro.devtools.suppress import (
-    DEFAULT_BASELINE_NAME,
-    Baseline,
-    BaselineError,
-    apply_baseline,
-    baseline_from_findings,
-    empty_baseline,
-    load_baseline,
-    parse_suppressions,
-    save_baseline,
-)
+from repro.devtools.suppress import parse_suppressions
 
 __all__ = [
     "ALL_CHECKERS",
-    "Baseline",
-    "BaselineError",
     "CHECKERS_BY_CODE",
     "CheckReport",
-    "DEFAULT_BASELINE_NAME",
     "Finding",
     "KNOWN_CODES",
     "Project",
     "REPORT_VERSION",
     "SourceModule",
     "UsageError",
-    "apply_baseline",
-    "baseline_from_findings",
     "catalog",
     "check_modules",
     "check_source",
-    "empty_baseline",
     "explain",
-    "load_baseline",
     "load_module",
     "parse_module",
     "parse_suppressions",
     "run_check",
-    "save_baseline",
     "schema_fingerprint",
 ]

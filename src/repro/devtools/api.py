@@ -1,9 +1,9 @@
 """The pytest-importable entry points of the contract linter.
 
 :func:`run_check` is the whole pipeline — expand paths, parse once,
-run the selected checkers, apply suppressions then the baseline, sort
-— and both the CLI and the test suite call it, so what CI enforces is
-exactly what a test can assert.  :func:`check_source` runs the same
+run the selected checkers, apply suppressions, sort — and both the
+CLI and the test suite call it, so what CI enforces is exactly what a
+test can assert.  :func:`check_source` runs the same
 pipeline over one in-memory snippet placed at a chosen
 package-relative path; the fixture suites are built on it.
 """
@@ -26,13 +26,7 @@ from repro.devtools.project import (
     load_module,
     parse_module,
 )
-from repro.devtools.suppress import (
-    Baseline,
-    apply_baseline,
-    apply_suppressions,
-    empty_baseline,
-    parse_suppressions,
-)
+from repro.devtools.suppress import apply_suppressions, parse_suppressions
 
 
 class UsageError(ValueError):
@@ -66,11 +60,8 @@ def resolve_select(
 def check_modules(
     modules: "Sequence[SourceModule]",
     checkers: "Sequence[Checker]" = ALL_CHECKERS,
-    baseline: "Optional[Baseline]" = None,
 ) -> CheckReport:
     """Run *checkers* over already-parsed *modules*."""
-    if baseline is None:
-        baseline = empty_baseline()
     selected_codes = {checker.code for checker in checkers}
     project = Project(modules=list(modules))
     findings: "List[Finding]" = []
@@ -106,12 +97,9 @@ def check_modules(
             findings.extend(kept)
         else:
             findings.append(finding)
-    findings = sort_findings(findings)
-    findings, baselined = apply_baseline(findings, baseline)
     return CheckReport(
-        findings=findings,
+        findings=sort_findings(findings),
         suppressed=suppressed_total,
-        baselined=baselined,
         files_scanned=len(project.modules),
         codes=sorted(selected_codes),
     )
@@ -120,7 +108,6 @@ def check_modules(
 def run_check(
     paths: "Sequence[str]",
     select: "Optional[Iterable[str]]" = None,
-    baseline: "Optional[Baseline]" = None,
 ) -> CheckReport:
     """Lint *paths* (files and/or directories) and report.
 
@@ -132,7 +119,7 @@ def run_check(
     except FileNotFoundError as exc:
         raise UsageError(f"no such file or directory: {exc.args[0]}")
     modules = [load_module(path) for path in files]
-    return check_modules(modules, checkers, baseline)
+    return check_modules(modules, checkers)
 
 
 def check_source(

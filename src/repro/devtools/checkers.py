@@ -248,10 +248,11 @@ else from repro.obs — journals, the registry object, profiling,
 set_metrics_enabled — allocates, does I/O, or mutates global state on
 a path that must stay flat and deterministic.
 
-History: bench_obs.py pins a <=5% enabled / ~0% disabled overhead
-budget; an early draft held a registry reference in the decode loop
-and wrote timings unconditionally, blowing the disabled budget and
-making worker payloads differ byte-for-byte.
+History: the overhead benchmark (then bench_obs.py) pinned a <=5%
+enabled / ~0% disabled budget; an early draft held a registry
+reference in the decode loop and wrote timings unconditionally,
+blowing the disabled budget and making worker payloads differ
+byte-for-byte.
 
 Fix: import the gated helpers ('from repro.obs import metrics as
 obs_metrics' and call only the gated names, or import the helpers

@@ -2,9 +2,9 @@
 
 Exit-code contract (CI and editors key off it):
 
-* ``0`` — clean: no findings after suppressions and the baseline;
+* ``0`` — clean: no findings after in-line suppressions;
 * ``1`` — findings: at least one contract violation to show;
-* ``2`` — usage error: unknown code, missing path, damaged baseline.
+* ``2`` — usage error: unknown code, missing path, unknown flag.
 
 Output discipline (the linter eats its own cooking): findings — the
 machine-consumable product, human or JSON — go to stdout; diagnostics
@@ -22,14 +22,6 @@ from repro.devtools.api import (
     catalog,
     explain,
     run_check,
-)
-from repro.devtools.suppress import (
-    DEFAULT_BASELINE_NAME,
-    BaselineError,
-    baseline_from_findings,
-    empty_baseline,
-    load_baseline,
-    save_baseline,
 )
 
 EXIT_CLEAN = 0
@@ -78,28 +70,6 @@ def add_check_parser(subparsers) -> None:
             " (or 'all') and exit"
         ),
     )
-    check.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help=(
-            "grandfathered-findings file (default:"
-            f" ./{DEFAULT_BASELINE_NAME} when present)"
-        ),
-    )
-    check.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file (strict mode)",
-    )
-    check.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help=(
-            "write the current findings to the baseline file and exit"
-            " 0 (adoption helper; the shipped baseline stays empty)"
-        ),
-    )
 
 
 def run_check_command(arguments) -> int:
@@ -113,21 +83,9 @@ def run_check_command(arguments) -> int:
         arguments.select.split(",") if arguments.select is not None
         else None
     )
-    baseline_path = arguments.baseline
-    if baseline_path is None and not arguments.no_baseline:
-        if os.path.exists(DEFAULT_BASELINE_NAME):
-            baseline_path = DEFAULT_BASELINE_NAME
     try:
-        if arguments.no_baseline or baseline_path is None:
-            baseline = empty_baseline()
-        else:
-            baseline = load_baseline(baseline_path)
-        if arguments.write_baseline:
-            return _run_write_baseline(
-                paths, select, baseline_path or DEFAULT_BASELINE_NAME
-            )
-        report = run_check(paths, select=select, baseline=baseline)
-    except (UsageError, BaselineError) as exc:
+        report = run_check(paths, select=select)
+    except UsageError as exc:
         print(f"repro check: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if arguments.format == "json":
@@ -149,13 +107,3 @@ def _run_explain(code: str) -> int:
         return EXIT_USAGE
     return EXIT_CLEAN
 
-
-def _run_write_baseline(paths, select, baseline_path) -> int:
-    report = run_check(paths, select=select, baseline=empty_baseline())
-    save_baseline(baseline_from_findings(report.findings), baseline_path)
-    print(
-        f"repro check: wrote {len(report.findings)} finding(s) to"
-        f" {baseline_path}",
-        file=sys.stderr,
-    )
-    return EXIT_CLEAN

@@ -5,12 +5,7 @@ Findings are plain data — the whole devtools subsystem keeps the
 pipeline ``parse -> check -> filter -> report`` free of hidden state
 so the pytest-importable API and the CLI see exactly the same objects.
 
-Two identity notions matter:
-
-* the *location* (``path:line:col``) orders human output; and
-* the *anchor* (code + path + stripped source-line text) keys baseline
-  matching, because line numbers drift on every unrelated edit while
-  the offending line itself rarely changes.
+The *location* (``path:line:col``) orders human output.
 """
 
 from __future__ import annotations
@@ -21,7 +16,7 @@ from typing import Any, Dict, List, Sequence
 #: Schema version of the ``--format json`` document.  Bump (and update
 #: the schema test) whenever the emitted shape changes — the linter
 #: holds itself to the same output-discipline contract it enforces.
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -39,15 +34,11 @@ class Finding:
     col: int
     #: One-sentence description of this specific violation.
     message: str
-    #: Stripped text of the violating source line (baseline anchor).
+    #: Stripped text of the violating source line.
     line_text: str = ""
 
     def sort_key(self):
         return (self.path, self.line, self.col, self.code, self.message)
-
-    def anchor(self) -> "tuple":
-        """Line-number-free identity used by baseline matching."""
-        return (self.code, self.path, self.line_text)
 
     def as_dict(self) -> "Dict[str, Any]":
         return {
@@ -68,12 +59,10 @@ class Finding:
 class CheckReport:
     """Everything one ``repro check`` invocation produced."""
 
-    #: Findings that survived suppressions and the baseline, sorted.
+    #: Findings that survived suppressions, sorted.
     findings: "List[Finding]" = field(default_factory=list)
     #: Findings silenced by ``# repro: allow(...)`` comments.
     suppressed: int = 0
-    #: Findings silenced by baseline entries.
-    baselined: int = 0
     #: How many files were parsed and checked.
     files_scanned: int = 0
     #: Which checker codes ran (sorted).
@@ -98,19 +87,15 @@ class CheckReport:
             "codes": list(self.codes),
             "counts": self.counts_by_code(),
             "suppressed": self.suppressed,
-            "baselined": self.baselined,
             "findings": [finding.as_dict() for finding in self.findings],
         }
 
     def render_human(self) -> str:
         """Multi-line human report (one line per finding + summary)."""
         lines = [finding.render() for finding in self.findings]
-        silenced = ""
-        if self.suppressed or self.baselined:
-            silenced = (
-                f" ({self.suppressed} suppressed,"
-                f" {self.baselined} baselined)"
-            )
+        silenced = (
+            f" ({self.suppressed} suppressed)" if self.suppressed else ""
+        )
         if self.findings:
             touched = len({finding.path for finding in self.findings})
             lines.append("")

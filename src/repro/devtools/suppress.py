@@ -1,19 +1,13 @@
-"""Suppression comments and the grandfathering baseline.
+"""Suppression comments: the linter's one escape hatch.
 
-Two escape hatches keep the linter adoptable without weakening it:
-
-* ``# repro: allow(CODE) reason`` — a *reasoned*, per-line waiver.
-  The reason is mandatory: a suppression is a reviewed decision, and
-  the decision's justification belongs next to the code it waives.
-  A suppression on its own comment line covers the next source line;
-  a trailing comment covers its own line.  Multiple codes separate
-  with commas: ``# repro: allow(DET001,DET002) <reason>``.
-* the **baseline file** (``.repro-check-baseline.json``) — bulk
-  grandfathering for adopting the linter on a tree with pre-existing
-  findings.  Entries match on (code, path, stripped line text), not
-  line numbers, so unrelated edits never resurrect a grandfathered
-  finding.  The shipped tree keeps this file empty — CI asserts it —
-  so the baseline is a migration tool, not a loophole.
+``# repro: allow(CODE) reason`` is a *reasoned*, per-line waiver.
+The reason is mandatory: a suppression is a reviewed decision, and
+the decision's justification belongs next to the code it waives.  A
+suppression on its own comment line covers the next source line; a
+trailing comment covers its own line.  Multiple codes separate with
+commas: ``# repro: allow(DET001,DET002) <reason>``.  There is no bulk
+grandfathering: every finding that is not waived in-line fails the
+check.
 
 Malformed suppressions (missing reason, unknown code, bad syntax) are
 themselves findings (``SUP001``): a waiver that silently fails open
@@ -23,7 +17,6 @@ or silently fails closed is worse than no waiver at all.
 from __future__ import annotations
 
 import io
-import json
 import re
 import tokenize
 from dataclasses import dataclass, field
@@ -40,10 +33,6 @@ _ALLOW_RE = re.compile(
 
 #: A valid checker code: letters then digits (DET001, MEMO001, ...).
 _CODE_RE = re.compile(r"^[A-Z]{2,8}[0-9]{3}$")
-
-BASELINE_VERSION = 1
-DEFAULT_BASELINE_NAME = ".repro-check-baseline.json"
-
 
 @dataclass
 class Suppression:
@@ -225,119 +214,4 @@ def apply_suppressions(
         else:
             waiver.used = True
             dropped += 1
-    return kept, dropped
-
-
-# ----------------------------------------------------------------------
-# baseline
-# ----------------------------------------------------------------------
-class BaselineError(ValueError):
-    """The baseline file exists but is not a valid baseline."""
-
-
-@dataclass
-class Baseline:
-    """Grandfathered findings, keyed line-number-free."""
-
-    #: (code, path, stripped line text) -> allowed occurrence count.
-    entries: "Dict[Tuple[str, str, str], int]" = field(
-        default_factory=dict
-    )
-
-    @property
-    def total(self) -> int:
-        return sum(self.entries.values())
-
-    def is_empty(self) -> bool:
-        return not self.entries
-
-    def as_dict(self) -> dict:
-        return {
-            "version": BASELINE_VERSION,
-            "findings": [
-                {
-                    "code": code,
-                    "path": path,
-                    "line_text": line_text,
-                    "count": count,
-                }
-                for (code, path, line_text), count in sorted(
-                    self.entries.items()
-                )
-            ],
-        }
-
-
-def empty_baseline() -> Baseline:
-    return Baseline()
-
-
-def baseline_from_findings(findings: "Iterable[Finding]") -> Baseline:
-    entries: "Dict[Tuple[str, str, str], int]" = {}
-    for finding in findings:
-        key = finding.anchor()
-        entries[key] = entries.get(key, 0) + 1
-    return Baseline(entries)
-
-
-def load_baseline(path: str) -> Baseline:
-    """Read a baseline file; raises :class:`BaselineError` on damage."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except OSError as exc:
-        raise BaselineError(f"cannot open baseline {path}: {exc}")
-    except ValueError as exc:
-        raise BaselineError(f"baseline {path} is not JSON: {exc}")
-    if not isinstance(data, dict) or "findings" not in data:
-        raise BaselineError(
-            f"baseline {path} must be an object with a 'findings' list"
-        )
-    version = data.get("version", BASELINE_VERSION)
-    if version != BASELINE_VERSION:
-        raise BaselineError(
-            f"baseline {path} has version {version!r};"
-            f" this tool reads version {BASELINE_VERSION}"
-        )
-    entries: "Dict[Tuple[str, str, str], int]" = {}
-    for item in data["findings"]:
-        if not isinstance(item, dict):
-            raise BaselineError(
-                f"baseline {path}: entries must be objects, got {item!r}"
-            )
-        try:
-            key = (
-                str(item["code"]),
-                str(item["path"]),
-                str(item["line_text"]),
-            )
-        except KeyError as exc:
-            raise BaselineError(
-                f"baseline {path}: entry missing key {exc}"
-            )
-        entries[key] = entries.get(key, 0) + int(item.get("count", 1))
-    return Baseline(entries)
-
-
-def save_baseline(baseline: Baseline, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(baseline.as_dict(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def apply_baseline(
-    findings: "Iterable[Finding]", baseline: Baseline
-) -> "Tuple[List[Finding], int]":
-    """Drop up to ``count`` occurrences of each grandfathered anchor."""
-    budget = dict(baseline.entries)
-    kept: "List[Finding]" = []
-    dropped = 0
-    for finding in findings:
-        key = finding.anchor()
-        remaining = budget.get(key, 0)
-        if remaining > 0:
-            budget[key] = remaining - 1
-            dropped += 1
-        else:
-            kept.append(finding)
     return kept, dropped

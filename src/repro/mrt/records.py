@@ -72,7 +72,7 @@ _ADDRESS_STATS = memo_counters("mrt.address")
 def set_address_memo(enabled: bool) -> bool:
     """Enable/disable (and clear) the packed-address memo.
 
-    Returns the previous setting (benchmark verify mode toggles this).
+    Returns the previous setting (the read-path tests toggle this).
     """
     global _address_memo_enabled
     previous = _address_memo_enabled

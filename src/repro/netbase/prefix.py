@@ -40,8 +40,8 @@ def set_nlri_memo(enabled: bool) -> bool:
     """Enable/disable (and clear) the NLRI interning memo.
 
     Returns the previous setting.  Disabling forces every decode down
-    the naive parse path — the benchmark's verify mode uses this to
-    prove the memo is a pure optimization.
+    the naive parse path — the read-path tests use this to prove the
+    memo is a pure optimization.
     """
     global _nlri_memo_enabled
     previous = _nlri_memo_enabled

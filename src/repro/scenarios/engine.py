@@ -414,7 +414,6 @@ def internet_config_from_spec(spec: ScenarioSpec):
         "prepend_change_events",
         "collector_session_resets",
         "mrai",
-        "delivery_batching",
         "archive_policy",
     )
     for label in passthrough:

@@ -102,12 +102,6 @@ class InternetSpec:
     prepend_change_events: "Optional[int]" = None
     collector_session_resets: "Optional[int]" = None
     mrai: "Optional[float]" = None
-    #: Coalesce same-fire-time message deliveries per session into one
-    #: simulator event (``None`` keeps the simulator default: on).
-    #: Per-(peer, fire-time) FIFO order is preserved; with the random
-    #: per-session delays internet scenarios use, collector output is
-    #: bit-identical either way (`bench_core.py --verify` checks it).
-    delivery_batching: "Optional[bool]" = None
     #: Collector archive policy: exactly ``full`` or ``mrt-spill``
     #: (``None`` keeps the simulator default: ``full``).  With live
     #: metric sinks the analysis never touches the archive, so spill
@@ -309,13 +303,6 @@ class ScenarioSpec:
         ):
             errors.append(
                 f"internet.mrai must be >= 0, got {internet.mrai!r}"
-            )
-        if internet.delivery_batching is not None and not isinstance(
-            internet.delivery_batching, bool
-        ):
-            errors.append(
-                f"internet.delivery_batching must be a boolean,"
-                f" got {internet.delivery_batching!r}"
             )
         if internet.archive_policy is not None:
             from repro.pipeline.sinks import parse_archive_policy

@@ -132,7 +132,13 @@ class Network:
             else SessionKind.EBGP
         )
         session = BGPSession(
-            self, node_a, node_b, kind=kind, delay=delay, mrai=mrai
+            self,
+            node_a,
+            node_b,
+            session_id=len(self._sessions) + 1,
+            kind=kind,
+            delay=delay,
+            mrai=mrai,
         )
         node_a.attach_session(
             session, policy=policy_a, ingress_point=ingress_point_a

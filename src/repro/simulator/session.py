@@ -36,9 +36,13 @@ class _DeliveryBatch:
 
 
 class BGPSession:
-    """One BGP session between two nodes (router or collector)."""
+    """One BGP session between two nodes (router or collector).
 
-    _counter = 0
+    ``session_id`` is the session's number within its network
+    (:meth:`Network.connect` counts from 1); the default endpoint
+    addresses are derived from it, so a network's collector bytes
+    depend only on the order its own sessions were created.
+    """
 
     def __init__(
         self,
@@ -46,14 +50,14 @@ class BGPSession:
         node_a,
         node_b,
         *,
+        session_id: int,
         kind: SessionKind,
         delay: float = 0.01,
         address_a: Optional[str] = None,
         address_b: Optional[str] = None,
         mrai: float = 0.0,
     ):
-        BGPSession._counter += 1
-        self.session_id = BGPSession._counter
+        self.session_id = session_id
         self._network = network
         self._node_a = node_a
         self._node_b = node_b
@@ -132,8 +136,9 @@ class BGPSession:
         time can their relative processing order differ from unbatched
         mode.  With per-session delays drawn from a continuous range
         (the synthetic-internet default) such collisions do not occur
-        and collector output is bit-identical — `bench_core.py
-        --verify` checks exactly that.
+        and collector output is bit-identical — the tier-1 test
+        ``test_delivery_batching_leaves_metrics_unchanged`` checks
+        exactly that.
         """
         if not self.established:
             return False

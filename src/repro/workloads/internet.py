@@ -128,11 +128,6 @@ class InternetConfig:
     #: Session propagation delay range (seconds).
     delay_range: "Tuple[float, float]" = (0.005, 0.05)
     mrai: float = 0.0
-    #: Coalesce same-fire-time deliveries per session into one event
-    #: (fewer heap operations; off = one event per message, mainly for
-    #: perf A/B comparisons).  With this model's randomly drawn session
-    #: delays the collector output is bit-identical either way.
-    delivery_batching: bool = True
     #: Collector archive policy: ``full`` keeps every message in
     #: memory, ``mrt-spill`` streams the archive to an MRT file on
     #: disk (bounded memory at any run length; replayable through the
@@ -227,7 +222,6 @@ class InternetModel:
         self.registry = AllocationRegistry()
         self.network = Network(
             start_time=self.config.day_start - 7200.0,
-            batch_delivery=self.config.delivery_batching,
             archive_policy=self.config.archive_policy,
             spill_dir=self.config.spill_dir,
         )
@@ -675,9 +669,8 @@ class InternetModel:
     def run_day(self) -> None:
         """Execute the scheduled day (build/schedule must be done).
 
-        Split out of :meth:`run` so pipeline drivers that may abort
-        mid-day (early stop) can still assemble the partial
-        :class:`SimulatedDay` via :meth:`simulated_day`.
+        Split out of :meth:`run` so the scenario engine can time the
+        build and the day as separate phases.
         """
         day_end = self.config.day_start + self.config.day_seconds
         self.network.run(until=day_end, max_events=20_000_000)

@@ -229,8 +229,8 @@ def full_scan_best(router, prefix):
 
 
 def _record(monkeypatch, run, *, incremental):
-    """Run *run* on a fresh session numbering; return what went out and
-    how many ``_reconsider`` calls ran the full decision process.
+    """Run *run*; return what went out and how many ``_reconsider``
+    calls ran the full decision process.
 
     The incremental run checks the Loc-RIB against the full scan after
     every ``_reconsider`` call; the other run drops the changed-route
@@ -261,9 +261,6 @@ def _record(monkeypatch, run, *, incremental):
         return select(self, candidates)
 
     with monkeypatch.context() as patch:
-        # Session addresses come from a process-wide counter; restart
-        # it so both runs address (and tie-break) identically.
-        patch.setattr(BGPSession, "_counter", 0)
         patch.setattr(BGPSession, "send", recording_send)
         patch.setattr(
             Router,

@@ -224,7 +224,8 @@ class TestObs001:
         assert _codes(report) == ["OBS001"]
 
     def test_flags_ungated_registry_call(self):
-        # The bench_obs near-miss: holding the registry in the loop.
+        # The overhead-budget near-miss: holding the registry in the
+        # loop.
         report = _check(
             """
             from repro.obs import metrics as obs_metrics

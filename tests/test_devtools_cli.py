@@ -1,7 +1,7 @@
 """``repro check`` CLI contract: exit codes, JSON schema, explain.
 
 Also the clean-tree regression gate: the shipped ``src/`` tree must
-lint clean with the shipped (empty) baseline, and the recorded
+lint clean with nothing but in-line waivers, and the recorded
 ``CACHE_SCHEMA_FINGERPRINT`` must match the live schema.
 """
 
@@ -27,8 +27,7 @@ SRC = os.path.join(REPO_ROOT, "src")
 @pytest.fixture
 def bad_tree(tmp_path, monkeypatch):
     """A scan root with one DET001 violation; cwd moved there so the
-    default-baseline discovery logic is exercised (no baseline file
-    exists, so nothing is grandfathered)."""
+    CLI's relative paths resolve inside it."""
     package = tmp_path / "repro" / "rib"
     package.mkdir(parents=True)
     (package / "decision.py").write_text(
@@ -60,13 +59,17 @@ class TestExitCodes:
         assert repro_cli.main(["check", "no/such/dir"]) == 2
         assert "no such file" in capsys.readouterr().err
 
-    def test_damaged_baseline_exits_two(self, bad_tree, capsys):
-        (bad_tree / "broken.json").write_text("{")
-        code = repro_cli.main(
-            ["check", "--baseline", "broken.json", "."]
-        )
-        assert code == 2
-        assert "baseline" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "flags",
+        (["--baseline", "X"], ["--no-baseline"], ["--write-baseline"]),
+        ids=("baseline", "no-baseline", "write-baseline"),
+    )
+    def test_removed_baseline_flags_exit_two(self, bad_tree, flags):
+        # Only in-line waivers silence a finding; there is no baseline
+        # file to point at, write or skip.
+        with pytest.raises(SystemExit) as excinfo:
+            repro_cli.main(["check", *flags, "."])
+        assert excinfo.value.code == 2
 
 
 class TestJsonOutput:
@@ -81,7 +84,6 @@ class TestJsonOutput:
             "codes",
             "counts",
             "suppressed",
-            "baselined",
             "findings",
         }
         (finding,) = document["findings"]
@@ -138,17 +140,6 @@ class TestExplain:
     def test_explain_unknown_code_exits_two(self, capsys):
         assert repro_cli.main(["check", "--explain", "XX999"]) == 2
         assert "XX999" in capsys.readouterr().err
-
-
-class TestWriteBaseline:
-    def test_adoption_round_trip(self, bad_tree, capsys):
-        assert repro_cli.main(["check", "--write-baseline", "."]) == 0
-        assert "wrote 1 finding(s)" in capsys.readouterr().err
-        # The freshly written default baseline now grandfathers it.
-        assert repro_cli.main(["check", "."]) == 0
-        assert "1 baselined" in capsys.readouterr().out
-        # Strict mode ignores it again.
-        assert repro_cli.main(["check", "--no-baseline", "."]) == 1
 
 
 class TestShippedTree:

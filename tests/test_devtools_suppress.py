@@ -1,21 +1,10 @@
-"""Suppression directives and baseline round-trips."""
+"""Suppression directives and on-disk tree scans."""
 
-import json
 import textwrap
 
 import pytest
 
-from repro.devtools import (
-    DEFAULT_BASELINE_NAME,
-    BaselineError,
-    apply_baseline,
-    baseline_from_findings,
-    check_source,
-    empty_baseline,
-    load_baseline,
-    run_check,
-    save_baseline,
-)
+from repro.devtools import check_source, run_check
 
 
 def _check(source, rel, select=None):
@@ -150,105 +139,15 @@ class TestSuppressions:
         assert report.suppressed == 0
 
 
-class TestBaseline:
-    def _findings(self):
-        report = _check(
-            """
-            def tie_break(route):
-                return hash(route)
-            """,
-            "rib/decision.py",
-        )
-        assert not report.clean
-        return report.findings
-
-    def test_round_trip(self, tmp_path):
-        findings = self._findings()
-        baseline = baseline_from_findings(findings)
-        path = tmp_path / DEFAULT_BASELINE_NAME
-        save_baseline(baseline, str(path))
-        loaded = load_baseline(str(path))
-        remaining, baselined = apply_baseline(findings, loaded)
-        assert remaining == []
-        assert baselined == len(findings)
-
-    def test_baseline_is_line_number_free(self, tmp_path):
-        findings = self._findings()
-        baseline = baseline_from_findings(findings)
-        # Same code on a different line (file grew above it) still
-        # matches its grandfathered entry.
-        moved = _check(
-            """
-            import zlib
-
-
-            def other(route):
-                return zlib.crc32(repr(route).encode())
-
-
-            def tie_break(route):
-                return hash(route)
-            """,
-            "rib/decision.py",
-        )
-        remaining, baselined = apply_baseline(moved.findings, baseline)
-        assert remaining == []
-        assert baselined == 1
-
-    def test_occurrence_counts_cap_matches(self):
-        findings = self._findings()
-        baseline = baseline_from_findings(findings)
-        doubled = _check(
-            """
-            def tie_break(route):
-                return hash(route)
-
-            def tie_break_again(route):
-                return hash(route)
-            """,
-            "rib/decision.py",
-        )
-        remaining, baselined = apply_baseline(doubled.findings, baseline)
-        # Only one occurrence was grandfathered; the new one surfaces.
-        assert baselined == 1
-        assert len(remaining) == 1
-
-    def test_empty_baseline_shape(self, tmp_path):
-        path = tmp_path / DEFAULT_BASELINE_NAME
-        save_baseline(empty_baseline(), str(path))
-        document = json.loads(path.read_text())
-        assert document == {"findings": [], "version": 1}
-
-    def test_corrupt_baseline_raises(self, tmp_path):
-        path = tmp_path / DEFAULT_BASELINE_NAME
-        path.write_text("not json")
-        with pytest.raises(BaselineError):
-            load_baseline(str(path))
-
-    def test_wrong_version_raises(self, tmp_path):
-        path = tmp_path / DEFAULT_BASELINE_NAME
-        path.write_text(json.dumps({"findings": [], "version": 99}))
-        with pytest.raises(BaselineError):
-            load_baseline(str(path))
-
-
 class TestRunCheckOnDisk:
-    def test_scans_directory_and_honors_baseline(self, tmp_path):
+    def test_scans_directory(self, tmp_path):
         package = tmp_path / "repro" / "rib"
         package.mkdir(parents=True)
         bad = package / "decision.py"
         bad.write_text("def f(route):\n    return hash(route)\n")
         report = run_check([str(tmp_path)])
         assert [f.code for f in report.findings] == ["DET001"]
-
-        baseline = baseline_from_findings(report.findings)
-        baseline_path = tmp_path / DEFAULT_BASELINE_NAME
-        save_baseline(baseline, str(baseline_path))
-        rerun = run_check(
-            [str(tmp_path)], baseline=load_baseline(str(baseline_path))
-        )
-        assert rerun.clean
-        assert rerun.baselined == 1
+        assert not report.clean
 
     def test_missing_path_raises(self):
         from repro.devtools import UsageError

@@ -19,6 +19,9 @@ import shutil
 import pytest
 
 from repro import cli
+from repro.bgp import wire
+from repro.mrt import records as mrt_records
+from repro.netbase import prefix as prefix_module
 from repro.scenarios import engine, get_scenario, run_scenario
 from repro.scenarios.spec import MrtSpec, ScenarioSpec
 from repro.simulator.router import Router
@@ -53,6 +56,21 @@ def _replay_spec(path: str) -> ScenarioSpec:
         mrt=MrtSpec(path=path),
         collectors=base.collectors,
     )
+
+
+def _clear_decode_memos():
+    """Empty the read-path memos, as a fresh process starts them.
+
+    An earlier test that decoded the same archive bytes leaves them
+    warm, and a warm replay allocates too little to trigger a middle
+    collection.
+    """
+    for toggle in (
+        wire.set_decode_memo,
+        prefix_module.set_nlri_memo,
+        mrt_records.set_address_memo,
+    ):
+        toggle(toggle(True))  # each call clears; the second restores
 
 
 @contextlib.contextmanager
@@ -90,6 +108,7 @@ class TestNoCyclesPerEvent:
             gc.set_threshold(100, 5, 5)
             try:
                 for spec in specs:
+                    _clear_decode_memos()
                     gc.collect()  # earlier tests' garbage is not ours
                     gc.callbacks.append(on_gc)
                     try:

@@ -15,6 +15,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
 
 import pytest
 
@@ -24,7 +25,6 @@ from repro.analysis.observations import observations_from_collector
 from repro.mrt.reader import MRTReader
 from repro.scenarios import get_scenario, run_scenario
 from repro.scenarios.engine import internet_config_from_spec
-from repro.simulator.session import BGPSession
 from repro.workloads import InternetModel
 
 
@@ -43,7 +43,6 @@ def solo_day():
         ),
     )
     config = internet_config_from_spec(spec)
-    BGPSession._counter = 0
     return spec, InternetModel(config).run()
 
 
@@ -97,7 +96,6 @@ class TestRoundTripClassification:
         collector = day.collector("rrc00")
         first = _collector_output_hash(collector.dump_mrt())
         # A fresh, identically-seeded simulation pins the same bytes.
-        BGPSession._counter = 0
         again = InternetModel(internet_config_from_spec(spec)).run()
         assert (
             _collector_output_hash(again.collector("rrc00").dump_mrt())
@@ -116,7 +114,6 @@ class TestSpillRoundTrip:
             ),
         )
         config = internet_config_from_spec(spill_spec)
-        BGPSession._counter = 0
         spill_day = InternetModel(config).run()
         collector = spill_day.collector("rrc00")
         assert len(collector.records) == 0
@@ -132,16 +129,41 @@ class TestSpillRoundTrip:
             # dump_mrt under spill re-reads the file and round-trips.
             assert collector.dump_mrt() == full_dump
         finally:
-            import os
-
             os.unlink(collector.spill_path)
+
+    def test_back_to_back_spill_runs_write_identical_archives(self):
+        # Every network numbers its sessions from 1, and the default
+        # session addresses derive from those numbers.  So a second
+        # run in one process (a sweep lane's next cell) spills exactly
+        # the bytes of the first.
+        base = get_scenario("topology-tiny")
+        spec = dataclasses.replace(
+            base,
+            internet=dataclasses.replace(
+                base.internet, archive_policy="mrt-spill"
+            ),
+        )
+        archives = []
+        for _ in range(2):
+            spill_paths = run_scenario(spec).spill_paths
+            try:
+                archive = {}
+                for name, path in spill_paths.items():
+                    with open(path, "rb") as handle:
+                        archive[name] = handle.read()
+            finally:
+                for path in spill_paths.values():
+                    os.unlink(path)
+            archives.append(archive)
+        assert set(archives[0]) == {"rrc00", "route-views2"}
+        assert all(archives[0].values())
+        assert archives[0] == archives[1]
 
     def test_mrt_replay_scenario_matches_live_run(self, solo_day, tmp_path):
         spec, day = solo_day
         collector = day.collector("rrc00")
         archive = tmp_path / "day.mrt"
         archive.write_bytes(collector.dump_mrt())
-        BGPSession._counter = 0
         live = run_scenario(spec)
         replay_spec = get_scenario("mrt-replay")
         replay_spec = dataclasses.replace(

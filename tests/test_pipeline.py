@@ -29,7 +29,6 @@ from repro.pipeline.sinks import SinkBase
 from repro.scenarios import get_scenario, make_collectors, run_scenario
 from repro.scenarios.collectors import ScenarioContext
 from repro.scenarios.engine import internet_config_from_spec
-from repro.simulator.session import BGPSession
 from repro.workloads import InternetModel
 
 
@@ -112,7 +111,6 @@ class TestArchives:
 def tiny_day():
     """One simulated topology-tiny day (full archives)."""
     config = internet_config_from_spec(get_scenario("topology-tiny"))
-    BGPSession._counter = 0
     return InternetModel(config).run()
 
 
@@ -190,7 +188,6 @@ class TestClassifierSinkProtocol:
 class TestCollectorSinks:
     def test_live_sink_sees_archive_order(self):
         config = internet_config_from_spec(get_scenario("topology-tiny"))
-        BGPSession._counter = 0
         model = InternetModel(config)
         live = []
         model.attach_collector_sink(_ListSink(live))
@@ -275,9 +272,7 @@ class TestLiveStreamingEquivalence:
                     stub_count=6,
                 ),
             )
-        BGPSession._counter = 0
         live = run_scenario(spec).metrics
-        BGPSession._counter = 0
         batch = _batch_metrics(spec)
         assert json.dumps(live, sort_keys=True) == json.dumps(
             batch, sort_keys=True
@@ -296,7 +291,6 @@ class TestLiveStreamingEquivalence:
                     base.internet, archive_policy=policy
                 ),
             )
-            BGPSession._counter = 0
             result = run_scenario(spec)
             results[policy] = result.metrics
             assert bool(result.spill_paths) == (policy == "mrt-spill")
@@ -311,7 +305,6 @@ class TestEngineHooks:
 
         from repro.mrt.reader import MRTReader
 
-        BGPSession._counter = 0
         result = run_scenario(get_scenario("internet-small-spill"))
         assert set(result.spill_paths) == {"rrc00"}
         path = result.spill_paths["rrc00"]

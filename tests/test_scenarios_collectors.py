@@ -38,7 +38,6 @@ from repro.scenarios import (
 )
 from repro.scenarios.registry import INTERNET_COLLECTORS
 from repro.simulator.damping import RouteDamper
-from repro.simulator.session import BGPSession
 
 SESSIONS = (
     SessionKey("rrc00", 20205, "10.0.0.1"),
@@ -232,7 +231,6 @@ class TestDampingReplayPinned:
     def test_metrics_unchanged(self):
         # Recorded before the damper was keyed by SessionKey instead of
         # its string form.
-        BGPSession._counter = 0
         metrics = run_scenario(get_scenario("damping-replay")).metrics
         assert metrics["damping"] == {
             "announcements": 3724,
@@ -267,7 +265,6 @@ def tiny_spill_archive(tmp_path_factory):
             collector_names=("rrc00",),
         ),
     )
-    BGPSession._counter = 0
     result = run_scenario(spec)
     target = tmp_path_factory.mktemp("spill") / "tiny.mrt"
     target.write_bytes(open(result.spill_paths["rrc00"], "rb").read())

@@ -67,8 +67,10 @@ class TestSpecRoundTrip:
             )
 
     def test_removed_decode_workers_field_rejected(self):
-        # Older specs may carry the decode worker count of the deleted
-        # sharded MRT decode; they must be rejected, not half-run.
+        # Older specs may carry a knob that has since been deleted: the
+        # decode worker count of the sharded MRT decode, or the
+        # delivery-batching switch.  They must be rejected, not
+        # half-run.
         with pytest.raises(
             ScenarioValidationError,
             match="unknown mrt field 'decode_workers'",
@@ -78,6 +80,17 @@ class TestSpecRoundTrip:
                     "name": "x",
                     "kind": "mrt",
                     "mrt": {"path": "day.mrt", "decode_workers": 2},
+                }
+            )
+        with pytest.raises(
+            ScenarioValidationError,
+            match="unknown internet field 'delivery_batching'",
+        ):
+            spec_from_dict(
+                {
+                    "name": "x",
+                    "kind": "internet",
+                    "internet": {"delivery_batching": False},
                 }
             )
 

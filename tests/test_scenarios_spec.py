@@ -171,25 +171,6 @@ class TestInternetValidation:
         ):
             internet_spec(lab=LabSpec()).validate()
 
-    def test_delivery_batching_accepts_bools_and_none(self):
-        internet_spec(
-            internet=InternetSpec(delivery_batching=True)
-        ).validate()
-        internet_spec(
-            internet=InternetSpec(delivery_batching=False)
-        ).validate()
-        internet_spec(
-            internet=InternetSpec(delivery_batching=None)
-        ).validate()
-
-    def test_delivery_batching_rejects_non_bool(self):
-        with pytest.raises(
-            ScenarioValidationError, match="delivery_batching"
-        ):
-            internet_spec(
-                internet=InternetSpec(delivery_batching="yes")
-            ).validate()
-
 
 class TestErrorAggregation:
     def test_all_problems_reported_at_once(self):

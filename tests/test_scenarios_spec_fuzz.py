@@ -106,7 +106,6 @@ def _internet_section(rng: random.Random) -> InternetSpec:
         prepend_change_events=_maybe(rng, lambda: rng.randint(0, 10)),
         collector_session_resets=_maybe(rng, lambda: rng.randint(0, 5)),
         mrai=_maybe(rng, lambda: rng.uniform(0.0, 60.0)),
-        delivery_batching=_maybe(rng, lambda: rng.random() < 0.5),
         archive_policy=_maybe(
             rng,
             lambda: rng.choice(("full", "mrt-spill")),

@@ -352,6 +352,23 @@ class TestSessions:
             self.r2
         )
 
+    def test_each_network_numbers_its_own_sessions(self):
+        first = [
+            self.network.connect(self.r1, self.r2),
+            self.network.connect(self.r2, self.r3),
+        ]
+        other = Network()
+        other_r1 = other.add_router("r1", 65001)
+        other_r2 = other.add_router("r2", 65002)
+        second = other.connect(other_r1, other_r2)
+        assert [session.session_id for session in first] == [1, 2]
+        # A network built later in the same process starts again at 1,
+        # so its default addresses match the first network's.
+        assert second.session_id == 1
+        assert second.local_address(other_r1) == first[0].local_address(
+            self.r1
+        )
+
     def test_send_is_delayed(self):
         session = self.network.connect(self.r1, self.r2, delay=0.5)
         from repro.bgp import KeepaliveMessage

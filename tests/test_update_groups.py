@@ -54,7 +54,7 @@ def may_reach(router, route, session):
 
 
 def _record(monkeypatch, run, *, reference):
-    """Run *run* on a fresh session numbering; return what went out.
+    """Run *run*; return what went out.
 
     The result holds every message any router put on any session (in
     send order), the archived records of every collector (with their
@@ -76,9 +76,6 @@ def _record(monkeypatch, run, *, reference):
         return export(self, route, session)
 
     with monkeypatch.context() as patch:
-        # Session addresses come from a process-wide counter; restart
-        # it so both runs address (and tie-break) identically.
-        patch.setattr(BGPSession, "_counter", 0)
         patch.setattr(BGPSession, "send", recording_send)
         patch.setattr(Router, "_export_attributes", counting_export)
         if reference:
@@ -286,7 +283,6 @@ class TestOperationCounts:
             return replace(self, **changes)
 
         try:
-            patch.setattr(BGPSession, "_counter", 0)
             patch.setattr(Router, "_propagate_route", counting_propagate)
             patch.setattr(Router, "_export_attributes", counting_export)
             patch.setattr(Router, "_reconsider", counting_reconsider)
