@@ -23,13 +23,21 @@ echo
 echo "== tier 1: test suite =="
 # Besides the equivalence contracts, tier 1 holds the timing gates
 # (tests/test_perf_gates.py): metrics overhead, the read-path floor
-# and the mrt-spill throughput floor.
+# and the mrt-spill throughput floor; and the paper's artifacts with
+# their shape checks (tests/test_paper_artifacts.py).
 python -m pytest -x -q
 
 echo
 echo "== smoke: scenario engine =="
 python -m repro scenario list >/dev/null
 python -m repro scenario run topology-tiny
+
+echo
+echo "== examples: every script runs to a zero exit =="
+for EXAMPLE in examples/*.py; do
+    echo "$EXAMPLE"
+    python "$EXAMPLE" > /dev/null
+done
 
 echo
 echo "== smoke: parallel sweep + cache =="

@@ -5,9 +5,10 @@ The paper samples one full day every three months from 2010 to 2020
 Figure 6 plots the per-day number of unique community attributes
 revealed during withdrawal phases, the per-day total, and their ratio.
 
-This module only aggregates: per-day snapshots are produced by running
-the synthetic internet for the sampled day (see
-:mod:`repro.workloads.longitudinal`) and classifying the archives.
+This module only aggregates: each sampled day is one scenario run
+(:meth:`repro.workloads.longitudinal.GrowthModel.spec_for`), and
+:meth:`LongitudinalSeries.from_metrics` reads the runs' collector
+metrics.
 """
 
 from __future__ import annotations
@@ -33,9 +34,30 @@ class DailySnapshot:
         """The day as ``YYYY-MM-DD``."""
         return format_utc(self.day, with_time=False)
 
-    def announcements_per_type(self) -> "Dict[AnnouncementType, int]":
-        """Counts per type, including zero entries."""
-        return dict(self.type_counts.counts)
+    @classmethod
+    def from_metrics(cls, day: float, metrics: dict) -> "DailySnapshot":
+        """One day from a run's ``update_counts`` and ``revealed``."""
+        updates = metrics["update_counts"]
+        counts = TypeCounts(
+            counts={
+                AnnouncementType(code): count
+                for code, count in updates["types"].items()
+            },
+            withdrawals=updates["withdrawals"],
+        )
+        counts.unclassified_first = (
+            updates["announcements"] - counts.classified_total
+        )
+        revealed = metrics.get("revealed")
+        return cls(
+            day=day,
+            type_counts=counts,
+            revealed=(
+                None
+                if revealed is None
+                else RevealedInfoResult.from_metrics(revealed)
+            ),
+        )
 
 
 @dataclass
@@ -43,6 +65,16 @@ class LongitudinalSeries:
     """An ordered collection of daily snapshots."""
 
     snapshots: "List[DailySnapshot]" = field(default_factory=list)
+
+    @classmethod
+    def from_metrics(
+        cls, days: "Iterable[float]", metrics: "Iterable[dict]"
+    ) -> "LongitudinalSeries":
+        """The series of runs whose metrics pair up with *days*."""
+        series = cls()
+        for day, day_metrics in zip(days, metrics):
+            series.add(DailySnapshot.from_metrics(day, day_metrics))
+        return series
 
     def add(self, snapshot: DailySnapshot) -> None:
         """Append one day (kept sorted by day)."""
@@ -105,8 +137,8 @@ class LongitudinalSeries:
     def ratio_stability(self, *, min_total: int = 1) -> "Tuple[float, float]":
         """(mean, max deviation) of the withdrawal ratio across days.
 
-        The paper's claim is a "stable ratio of about 60%"; the bench
-        asserts the deviation stays small.  Days with fewer than
+        The paper's claim is a "stable ratio of about 60%"; the Figure 6
+        test asserts the deviation stays small.  Days with fewer than
         *min_total* unique attributes are excluded — a ratio computed
         over a handful of attributes is dominated by sampling noise.
         """

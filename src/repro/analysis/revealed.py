@@ -13,7 +13,7 @@ decade while absolute counts grow multifold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Dict, Iterable, Optional, Set
 
 from repro.analysis.observations import Observation
@@ -31,19 +31,17 @@ class RevealedInfoResult:
     exclusively_outside: int = 0
     ambiguous: int = 0
 
+    @classmethod
+    def from_metrics(cls, metrics: dict) -> "RevealedInfoResult":
+        """The result a ``revealed`` collector payload describes."""
+        return cls(**{item.name: metrics[item.name] for item in fields(cls)})
+
     @property
     def withdrawal_ratio(self) -> float:
         """Share revealed only during withdrawal phases (Fig 6 ratio)."""
         if self.total_unique == 0:
             return 0.0
         return self.exclusively_withdrawal / self.total_unique
-
-    @property
-    def announcement_ratio(self) -> float:
-        """Share revealed only during announcement phases."""
-        if self.total_unique == 0:
-            return 0.0
-        return self.exclusively_announcement / self.total_unique
 
     def as_rows(self) -> "list[tuple[str, int, float]]":
         """(label, count, share) rows for rendering."""

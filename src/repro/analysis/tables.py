@@ -9,15 +9,45 @@ the beacon subset.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Iterable, List, Optional, Set, Tuple
 
-from repro.analysis.classify import (
-    AnnouncementType,
-    TYPE_ORDER,
-    TypeCounts,
-    classify_observations,
-)
+from repro.analysis.classify import TYPE_ORDER, TypeCounts
 from repro.analysis.observations import Observation
+
+
+#: The paper's Table 1 (*d_mar20*), keyed by :meth:`Table1.as_rows` label.
+PAPER_TABLE1 = {
+    "IPv4 prefixes": 1_071_150,
+    "IPv6 prefixes": 99_141,
+    "ASes": 68_911,
+    "Sessions": 1_504,
+    "Peers": 581,
+    "Announcements": 1_008_000_000,
+    "w/ communities": 737_000_000,
+    "uniq. 16 bits": 5_778,
+    "uniq. AS paths": 43_900_000,
+    "Withdrawals": 38_500_000,
+}
+
+#: The paper's Table 2 shares: type code -> (full feed, beacon subset).
+PAPER_TABLE2 = {
+    "pc": (0.337, 0.446),
+    "pn": (0.151, 0.299),
+    "nc": (0.245, 0.138),
+    "nn": (0.257, 0.112),
+    "xc": (0.003, 0.002),
+    "xn": (0.007, 0.003),
+}
+
+#: Table 2's "observed changes" column, by type code.
+TYPE_DESCRIPTIONS = {
+    "pc": "path + community",
+    "pn": "path only",
+    "nc": "community only",
+    "nn": "no change",
+    "xc": "path prepending + comm.",
+    "xn": "path prepending only",
+}
 
 
 @dataclass
@@ -105,14 +135,6 @@ class Table2:
 
     def as_rows(self) -> "List[Tuple[str, str, float, Optional[float]]]":
         """(code, description, full share, beacon share) rows."""
-        descriptions = {
-            AnnouncementType.PC: "path + community",
-            AnnouncementType.PN: "path only",
-            AnnouncementType.NC: "community only",
-            AnnouncementType.NN: "no change",
-            AnnouncementType.XC: "path prepending + comm.",
-            AnnouncementType.XN: "path prepending only",
-        }
         rows = []
         for kind in TYPE_ORDER:
             beacon_share = (
@@ -121,7 +143,7 @@ class Table2:
             rows.append(
                 (
                     kind.value,
-                    descriptions[kind],
+                    TYPE_DESCRIPTIONS[kind.value],
                     self.full.share(kind),
                     beacon_share,
                 )

@@ -821,43 +821,16 @@ def _sweep_summary(result) -> str:
 
 
 def _print_scenario_metrics(result) -> None:
-    """Render each collector's metrics as paper-shaped tables."""
+    """Render each collector's metrics: paper artifacts as the paper's
+    tables, anything else as a flat key/value table."""
+    from repro.reports.paper import render_artifact
+
     for name in result.spec.collectors:
         metrics = result.metrics.get(name, {})
         _emit()
-        if name == "lab_matrix":
-            _emit(
-                render_table(
-                    metrics["headers"],
-                    metrics["rows"],
-                    title="Lab behavior matrix (paper §3)",
-                )
-            )
-            continue
-        if name == "table2":
-            rows = [
-                (code, format_share(share))
-                for code, share in metrics["full_shares"].items()
-            ]
-            _emit(
-                render_table(
-                    ("type", "share"),
-                    rows,
-                    title="Table 2: announcement types",
-                )
-            )
-            if metrics.get("beacon_shares"):
-                beacon_rows = [
-                    (code, format_share(share))
-                    for code, share in metrics["beacon_shares"].items()
-                ]
-                _emit(
-                    render_table(
-                        ("type", "share"),
-                        beacon_rows,
-                        title="Table 2: beacon subset",
-                    )
-                )
+        artifact = render_artifact(name, metrics)
+        if artifact is not None:
+            _emit(artifact)
             continue
         rows = [
             (key, _format_metric_value(value))

@@ -10,7 +10,7 @@ package-relative path; the fixture suites are built on it.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.devtools.checkers import (
     ALL_CHECKERS,
@@ -26,7 +26,12 @@ from repro.devtools.project import (
     load_module,
     parse_module,
 )
-from repro.devtools.suppress import apply_suppressions, parse_suppressions
+from repro.devtools.suppress import (
+    Suppression,
+    apply_suppressions,
+    parse_suppressions,
+    unused_suppressions,
+)
 
 
 class UsageError(ValueError):
@@ -66,10 +71,12 @@ def check_modules(
     project = Project(modules=list(modules))
     findings: "List[Finding]" = []
     suppressed_total = 0
+    waivers: "Dict[str, List[Suppression]]" = {}
     for module in project.modules:
         suppressions, problems = parse_suppressions(
             module.source, set(KNOWN_CODES), module.path
         )
+        waivers[module.path] = suppressions
         module_findings: "List[Finding]" = [
             problem for problem in problems
             if "SUP001" in selected_codes
@@ -82,21 +89,24 @@ def check_modules(
     project_findings: "List[Finding]" = []
     for checker in checkers:
         project_findings.extend(checker.finalize(project))
-    # Project-level findings honor suppressions on their anchor line
-    # in the module they point at.
+    # Project-level findings honor (and use up) the waivers on their
+    # anchor line in the module they point at.
     for finding in project_findings:
-        module = next(
-            (m for m in project.modules if m.path == finding.path), None
+        kept, dropped = apply_suppressions(
+            [finding], waivers.get(finding.path, ())
         )
-        if module is not None:
-            suppressions, _ = parse_suppressions(
-                module.source, set(KNOWN_CODES), module.path
+        suppressed_total += dropped
+        findings.extend(kept)
+    if "SUP001" in selected_codes:
+        for module in project.modules:
+            findings.extend(
+                unused_suppressions(
+                    waivers[module.path],
+                    selected_codes,
+                    module.path,
+                    module.source,
+                )
             )
-            kept, dropped = apply_suppressions([finding], suppressions)
-            suppressed_total += dropped
-            findings.extend(kept)
-        else:
-            findings.append(finding)
     return CheckReport(
         findings=sort_findings(findings),
         suppressed=suppressed_total,

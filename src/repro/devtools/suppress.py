@@ -11,7 +11,9 @@ check.
 
 Malformed suppressions (missing reason, unknown code, bad syntax) are
 themselves findings (``SUP001``): a waiver that silently fails open
-or silently fails closed is worse than no waiver at all.
+or silently fails closed is worse than no waiver at all.  So is a
+stale one: a waiver whose checked codes waived nothing is a ``SUP001``
+too, so it is deleted instead of silently covering a future finding.
 """
 
 from __future__ import annotations
@@ -45,8 +47,10 @@ class Suppression:
     target_line: int
     codes: "Tuple[str, ...]"
     reason: str
+    #: Column of the comment on ``comment_line`` (0-based).
+    col: int = 0
     #: Set when a finding actually used this waiver (unused
-    #: suppressions are reported so stale waivers get cleaned up).
+    #: suppressions are reported by :func:`unused_suppressions`).
     used: bool = field(default=False, compare=False)
 
 
@@ -168,6 +172,7 @@ def parse_suppressions(
                 target_line=target,
                 codes=codes,
                 reason=reason,
+                col=col,
             )
         )
     return suppressions, problems
@@ -215,3 +220,34 @@ def apply_suppressions(
             waiver.used = True
             dropped += 1
     return kept, dropped
+
+
+def unused_suppressions(
+    suppressions: "Sequence[Suppression]",
+    selected_codes: "Set[str]",
+    path: str,
+    source: str,
+) -> "List[Finding]":
+    """SUP001 for each waiver whose selected codes waived nothing.
+
+    Call after every finding of the module — per-module and
+    project-level — went through :func:`apply_suppressions`.  A waiver
+    none of whose codes was checked in this run is not judged.
+    """
+    lines = source.splitlines()
+    return [
+        Finding(
+            code="SUP001",
+            path=path,
+            line=suppression.comment_line,
+            col=suppression.col,
+            message=(
+                f"suppression of {','.join(suppression.codes)} waives"
+                " nothing; delete the stale waiver"
+            ),
+            line_text=_line_text(lines, suppression.comment_line),
+        )
+        for suppression in suppressions
+        if not suppression.used
+        and any(code in selected_codes for code in suppression.codes)
+    ]

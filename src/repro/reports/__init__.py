@@ -1,4 +1,4 @@
-"""Report rendering used by benchmarks and examples."""
+"""Report rendering used by the CLI, examples and artifact tests."""
 
 from repro.reports.render import (
     render_table,

@@ -1,8 +1,8 @@
 """Plain-text rendering of tables and series.
 
-The benchmark harness prints paper-shaped artifacts (the same rows as
-Table 1/2, the same series as Figures 2-6) to stdout; these helpers
-keep that output aligned and consistent.
+The CLI, the examples and the paper-artifact tests print paper-shaped
+artifacts (the same rows as Table 1/2, the same series as Figures
+2-6) to stdout; these helpers keep that output aligned and consistent.
 """
 
 from __future__ import annotations

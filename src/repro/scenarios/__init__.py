@@ -18,8 +18,8 @@ declarative contract and one engine:
   execution path from spec to :class:`ScenarioResult`;
 * :mod:`repro.scenarios.collectors` — pluggable metric collectors
   fanned out through a :class:`CollectorProxy` (update counts,
-  community prevalence, duplicate rates, Table 1/2, damping replay,
-  lab matrix);
+  community prevalence, duplicate rates, lab matrix and every paper
+  artifact: Tables 1/2, Figs 3-6, tomography, damping replay);
 * :mod:`repro.scenarios.backends` — pluggable sweep execution
   backends (``serial`` / ``processes`` / ``queue``) behind one
   :class:`ExecutionBackend` interface; ``processes`` runs cells on

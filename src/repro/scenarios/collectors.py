@@ -25,6 +25,7 @@ lab run instead of crashing it.
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from typing import Dict, Iterable, List, Optional, Type
 
 from repro.analysis.classify import (
@@ -33,22 +34,35 @@ from repro.analysis.classify import (
     TypeCounts,
     UpdateClassifier,
 )
-from repro.analysis.observations import Observation
+from repro.analysis.exploration import (
+    CommunityExplorationDetector,
+    stream_phase_activity,
+)
+from repro.analysis.observations import Observation, StreamGrouper
+from repro.analysis.revealed import RevealedInfoAnalysis
+from repro.analysis.tomography import (
+    CommunityBehaviorClassifier,
+    InferredBehavior,
+    score_against_ground_truth,
+)
+from repro.beacons.schedule import BeaconSchedule, ripe_beacon_prefixes
 
 
 class ScenarioContext:
-    """Run-scoped facts collectors may need (spec, beacons).
+    """Run-scoped facts collectors may need (spec, beacons, practices).
 
     With live-sink streaming the context is created *before* the
-    simulation is built, so ``beacon_prefixes`` starts empty.  It is
-    filled in place right after the day is scheduled, before the day
-    runs and so before any beacon prefix is announced: a collector may
-    keep a reference to the set and test membership online.
+    simulation is built, so ``beacon_prefixes`` and ``practices`` (ASN
+    -> :class:`CommunityPractice`, the day's ground truth) start empty.
+    Both are filled in place right after the day is scheduled, before
+    the day runs and so before any beacon prefix is announced: a
+    collector may keep a reference to them and read them online.
     """
 
-    def __init__(self, spec, *, beacon_prefixes=None):
+    def __init__(self, spec, *, beacon_prefixes=None, practices=None):
         self.spec = spec
         self.beacon_prefixes = set(beacon_prefixes or ())
+        self.practices = dict(practices or {})
 
 
 class MetricCollector:
@@ -310,8 +324,20 @@ def _shares(counts: TypeCounts) -> dict:
     return {kind.value: counts.share(kind) for kind in TYPE_ORDER}
 
 
+class _BeaconCollector(MetricCollector):
+    """Base for collectors that look at beacon prefixes."""
+
+    def __init__(self):
+        self._beacon_prefixes: set = set()
+
+    def start(self, context: ScenarioContext) -> None:
+        # Keep the engine's set itself, not a copy: it is filled in
+        # place once the day is scheduled, after start().
+        self._beacon_prefixes = context.beacon_prefixes
+
+
 @collector
-class Table2Collector(MetricCollector):
+class Table2Collector(_BeaconCollector):
     """The paper's Table 2 announcement-type shares (full + beacons).
 
     Counts the full feed and the beacon-prefix subset online.  The
@@ -323,14 +349,9 @@ class Table2Collector(MetricCollector):
     name = "table2"
 
     def __init__(self):
+        super().__init__()
         self._full = TypeCounts()
         self._beacon = TypeCounts()
-        self._beacon_prefixes: set = set()
-
-    def start(self, context: ScenarioContext) -> None:
-        # Keep the engine's set itself, not a copy: it is filled in
-        # place once the day is scheduled, after start().
-        self._beacon_prefixes = context.beacon_prefixes
 
     def observe(
         self, observation: Observation, kind: "Optional[AnnouncementType]"
@@ -449,4 +470,209 @@ class LabMatrixCollector(MetricCollector):
             "duplicates_at_collector": sum(
                 1 for cell in self._cells if cell["collector_saw_duplicate"]
             ),
+        }
+
+
+# ----------------------------------------------------------------------
+# paper artifacts beyond Tables 1-2 (the `paper` scenario)
+# ----------------------------------------------------------------------
+def _types(counts: "Dict[AnnouncementType, int]") -> dict:
+    return {kind.value: counts[kind] for kind in TYPE_ORDER}
+
+
+@collector
+class BeaconSessionsCollector(MetricCollector):
+    """Figure 3: announcement types per session for one beacon.
+
+    The beacon is 84.205.64.0/24 at collector ``rrc00``: the paper's
+    Figure 3 prefix, and the first beacon every simulated day
+    schedules.  Sessions are listed by announcement count, largest
+    first (the figure's x-axis).
+    """
+
+    name = "beacon_sessions"
+    collector_name = "rrc00"
+    prefix = ripe_beacon_prefixes(1)[0]
+
+    def __init__(self):
+        self._sessions: "Dict[object, TypeCounts]" = {}
+
+    def observe(
+        self, observation: Observation, kind: "Optional[AnnouncementType]"
+    ) -> None:
+        if (
+            observation.prefix == self.prefix
+            and observation.session.collector == self.collector_name
+        ):
+            counts = self._sessions.get(observation.session)
+            if counts is None:
+                counts = self._sessions[observation.session] = TypeCounts()
+            counts.tally(observation, kind)
+
+    def finish(self) -> dict:
+        ordered = sorted(
+            self._sessions.items(),
+            key=lambda item: item[1].announcements_total,
+            reverse=True,
+        )
+        return {
+            "collector": self.collector_name,
+            "prefix": str(self.prefix),
+            "sessions": [
+                {
+                    "session": str(session),
+                    "peer_asn": int(session.peer_asn),
+                    "announcements": counts.announcements_total,
+                    "types": _types(counts.counts),
+                }
+                for session, counts in ordered
+            ],
+        }
+
+
+@collector
+class BeaconPhasesCollector(_BeaconCollector):
+    """Figures 4 and 5: one beacon stream's types over the phases.
+
+    Keeps every beacon (session, prefix) stream.  Figure 4 is the
+    stream with the most ``nc`` announcements, with its community
+    exploration bursts; Figure 5 is the stream with the most ``nn``
+    among those that never carry a community (a cleaning peer).  Ties
+    go to the stream seen first.
+    """
+
+    name = "beacon_phases"
+
+    def __init__(self):
+        super().__init__()
+        self._grouper = StreamGrouper()
+
+    def observe(
+        self, observation: Observation, kind: "Optional[AnnouncementType]"
+    ) -> None:
+        if observation.prefix in self._beacon_prefixes:
+            self._grouper.push(observation)
+
+    def finish(self) -> dict:
+        streams = self._grouper.streams
+        fig4 = self._busiest(streams, AnnouncementType.NC)
+        cleaned = {
+            key: stream
+            for key, stream in streams.items()
+            if all(
+                obs.is_withdrawal or obs.communities.is_empty()
+                for obs in stream
+            )
+        }
+        payload = {
+            "fig4": self._series(fig4),
+            "fig5": self._series(
+                self._busiest(cleaned, AnnouncementType.NN)
+            ),
+        }
+        if fig4 is not None:
+            payload["fig4"]["bursts"] = [
+                {
+                    "start": event.start,
+                    "end": event.end,
+                    "opener": event.opener.value,
+                    "spurious": event.spurious_count,
+                    "distinct_communities": event.distinct_communities,
+                }
+                for event in CommunityExplorationDetector().detect(
+                    {fig4[0]: streams[fig4[0]]}
+                )
+            ]
+        return payload
+
+    @staticmethod
+    def _busiest(streams: dict, kind: AnnouncementType):
+        """(key, activity) of the stream with the most *kind*."""
+        best, best_count = None, -1
+        for key, stream in streams.items():
+            activity = stream_phase_activity(stream)
+            count = activity.type_counts()[kind]
+            if count > best_count:
+                best, best_count = (key, activity), count
+        return best
+
+    @staticmethod
+    def _series(picked) -> "Optional[dict]":
+        if picked is None:
+            return None
+        (session, prefix), activity = picked
+        schedule = BeaconSchedule()
+        return {
+            "session": str(session),
+            "peer_asn": int(session.peer_asn),
+            "prefix": str(prefix),
+            "types": _types(activity.type_counts()),
+            "events": [
+                [when, kind.value, schedule.classify(when).value]
+                for when, kind in activity.events
+            ],
+        }
+
+
+@collector
+class RevealedCollector(_BeaconCollector):
+    """Figure 6: unique community attributes by the beacon phases they
+    were revealed in (§6 "Revealed Information")."""
+
+    name = "revealed"
+
+    def __init__(self):
+        super().__init__()
+        self._analysis = RevealedInfoAnalysis()
+
+    def observe(
+        self, observation: Observation, kind: "Optional[AnnouncementType]"
+    ) -> None:
+        if observation.prefix in self._beacon_prefixes:
+            self._analysis.observe(observation)
+
+    def finish(self) -> dict:
+        result = self._analysis.result()
+        return dict(asdict(result), withdrawal_ratio=result.withdrawal_ratio)
+
+
+@collector
+class TomographyCollector(MetricCollector):
+    """Ablation A4 (§7 future work): per-AS tag/clean/ignore inference,
+    scored against the day's ground-truth community practices."""
+
+    name = "tomography"
+
+    def __init__(self):
+        self._classifier = CommunityBehaviorClassifier(min_samples=40)
+        self._practices: dict = {}
+
+    def start(self, context: ScenarioContext) -> None:
+        self._practices = context.practices
+
+    def observe(
+        self, observation: Observation, kind: "Optional[AnnouncementType]"
+    ) -> None:
+        self._classifier.observe(observation)
+
+    def finish(self) -> dict:
+        inferences = self._classifier.infer_all()
+        truth = {
+            asn: practice.value for asn, practice in self._practices.items()
+        }
+        return {
+            "scores": score_against_ground_truth(inferences, truth),
+            # The 25 best-evidenced ASes, those with a verdict.
+            "top": [
+                [
+                    inference.asn,
+                    inference.behavior.value,
+                    truth.get(inference.asn, "?"),
+                    inference.own_tag_ratio,
+                    inference.upstream_survival_ratio,
+                    inference.sample_size,
+                ]
+                for inference in inferences[:25]
+                if inference.behavior != InferredBehavior.UNKNOWN
+            ],
         }

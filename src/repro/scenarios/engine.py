@@ -1,7 +1,8 @@
 """The scenario engine: one entry point from spec to results.
 
 :func:`run_scenario` is the single execution path every driver —
-CLI, examples, benchmarks, the parallel sweep runner — goes through:
+CLI, examples, the paper-artifact tests, the parallel sweep runner —
+goes through:
 
 1. validate the spec upfront (:meth:`ScenarioSpec.validate`);
 2. instantiate the workload: the §3 lab matrix
@@ -336,6 +337,7 @@ def _run_internet(
         # Only the scheduled beacon events originate beacon prefixes,
         # so the set is complete before any is announced.
         context.beacon_prefixes.update(model.beacon_prefixes)
+        context.practices.update(model.practices)
     with obs_metrics.phase("internet.run"):
         model.run_day()
     day = model.simulated_day()

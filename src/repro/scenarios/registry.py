@@ -14,6 +14,7 @@ scrubbing sweeps, beacon-density sweeps and a topology-scale ladder.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable, Dict, List
 
 from repro.scenarios.spec import (
@@ -32,6 +33,19 @@ INTERNET_COLLECTORS = (
     "duplicates",
     "table1",
     "table2",
+)
+
+
+#: Collector stack of the ``paper`` scenario: every single-day artifact.
+PAPER_COLLECTORS = (
+    "update_counts",
+    "table1",
+    "table2",
+    "damping",
+    "beacon_sessions",
+    "beacon_phases",
+    "revealed",
+    "tomography",
 )
 
 
@@ -161,6 +175,19 @@ def internet_mar20() -> ScenarioSpec:
         seed=424242,
         internet=InternetSpec(scale="mar20", topology_seed=20200315),
         collectors=INTERNET_COLLECTORS,
+    )
+
+
+@scenario
+def paper() -> ScenarioSpec:
+    return replace(
+        internet_mar20(),
+        name="paper",
+        description=(
+            "internet-mar20 with every single-day paper artifact:"
+            " Tables 1-2, Figs 3-5, Fig 6's day, A4 and A5 (slow)"
+        ),
+        collectors=PAPER_COLLECTORS,
     )
 
 

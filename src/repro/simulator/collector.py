@@ -54,10 +54,6 @@ class CollectedMessage(NamedTuple):
         """True when the message is an UPDATE."""
         return isinstance(self.message, UpdateMessage)
 
-    def session_key(self) -> "tuple[int, str]":
-        """The (peer ASN, peer address) pair identifying the session."""
-        return (int(self.peer_asn), self.peer_address)
-
 
 class RouteCollector:
     """A passive BGP listener that archives everything it hears."""

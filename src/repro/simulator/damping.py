@@ -4,9 +4,10 @@ The paper (§2) notes that "mechanisms such as route dampening and MRAI
 timers have been explored, but may offer suboptimal performance in
 reacting to routing events. Thus, these mechanisms are selectively
 deployed."  This module implements the RFC 2439 penalty model so that
-the ablation benchmarks can quantify exactly that trade-off on the
-synthetic internet: damping absorbs community-exploration bursts, but
-at the cost of delayed reachability after genuine changes.
+the A5 ablation (the ``damping`` collector) can quantify exactly that
+trade-off on the synthetic internet: damping absorbs
+community-exploration bursts, but at the cost of delayed reachability
+after genuine changes.
 
 Model (per (peer, prefix)):
 

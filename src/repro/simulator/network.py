@@ -17,10 +17,6 @@ from repro.simulator.router import Router
 from repro.simulator.session import BGPSession, SessionKind
 from repro.vendors.profiles import CISCO_IOS, VendorProfile
 
-#: Default IGP distance for internal (iBGP) next hops.
-DEFAULT_IBGP_COST = 5
-
-
 class Network:
     """A simulated BGP internetwork."""
 
@@ -48,7 +44,6 @@ class Network:
         self.collectors: Dict[str, RouteCollector] = {}
         self.links: Dict[str, Link] = {}
         self._sessions: "list[BGPSession]" = []
-        self._igp_costs: Dict[tuple, int] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -160,20 +155,6 @@ class Network:
         return link
 
     # ------------------------------------------------------------------
-    # IGP model
-    # ------------------------------------------------------------------
-    def set_igp_cost(self, router: Router, session: BGPSession, cost: int) -> None:
-        """Set the IGP distance from *router* to next hops via *session*."""
-        self._igp_costs[(router.name, session.session_id)] = int(cost)
-
-    def igp_cost(self, router: Router, session: BGPSession) -> int:
-        """IGP distance used by the decision process (hot potato)."""
-        explicit = self._igp_costs.get((router.name, session.session_id))
-        if explicit is not None:
-            return explicit
-        return 0 if session.is_ebgp else DEFAULT_IBGP_COST
-
-    # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
     @property
@@ -192,14 +173,6 @@ class Network:
     def converge(self, *, max_events: int = 1_000_000) -> int:
         """Alias for :meth:`run_until_idle` that reads better in setup."""
         return self.run_until_idle(max_events=max_events)
-
-    def total_messages_sent(self) -> "tuple[int, int]":
-        """(updates, withdrawals) summed over all routers."""
-        updates = sum(r.sent_updates for r in self.routers.values())
-        withdrawals = sum(
-            r.sent_withdrawals for r in self.routers.values()
-        )
-        return updates, withdrawals
 
     def __repr__(self) -> str:
         return (

@@ -40,6 +40,10 @@ from repro.vendors.profiles import CISCO_IOS, VendorProfile
 #: An update group whose export is not computed yet (None is a result).
 _UNSEEN = object()
 
+#: IGP distance to an iBGP next hop (eBGP next hops are at 0): the
+#: hot-potato step of the decision process prefers eBGP exits.
+DEFAULT_IBGP_COST = 5
+
 
 class Router:
     """One BGP speaker inside one AS."""
@@ -137,10 +141,6 @@ class Router:
     def adj_rib_in(self, session: BGPSession) -> AdjRIBIn:
         """Inbound RIB for *session*."""
         return self._adj_rib_in[session.session_id]
-
-    def adj_rib_out(self, session: BGPSession) -> AdjRIBOut:
-        """Outbound RIB for *session*."""
-        return self._adj_rib_out[session.session_id]
 
     # ------------------------------------------------------------------
     # route origination
@@ -288,7 +288,7 @@ class Router:
             self._peer_ids[key],
             self._peer_asns[key],
             peer_address,
-            self._network.igp_cost(self, session),
+            0 if is_ebgp else DEFAULT_IBGP_COST,
             self._network.queue.now,
         )
 

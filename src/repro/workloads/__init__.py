@@ -33,11 +33,7 @@ from repro.workloads.internet import (
     InternetConfig,
     SimulatedDay,
 )
-from repro.workloads.longitudinal import (
-    GrowthModel,
-    LongitudinalRunner,
-    sampled_days,
-)
+from repro.workloads.longitudinal import GrowthModel, sampled_days
 
 __all__ = [
     "AllocationRegistry",
@@ -60,6 +56,5 @@ __all__ = [
     "InternetConfig",
     "SimulatedDay",
     "GrowthModel",
-    "LongitudinalRunner",
     "sampled_days",
 ]

@@ -5,33 +5,37 @@ observes (a) growing absolute update counts with stable type shares and
 (b) a stable ≈60% withdrawal-phase revelation ratio while unique
 community counts grow multifold.
 
-:class:`GrowthModel` produces an :class:`~repro.workloads.internet.
-InternetConfig` per sampled day whose parameters grow with time:
-topology size, interconnection density, collector peering breadth and
-community (geo-tagging) adoption all increase 2010 → 2020, following
-the growth trends the paper cites (Streibelt et al.'s 250% community
-growth, doubling of collector sessions).
+:class:`GrowthModel` produces one ordinary ``internet``
+:class:`~repro.scenarios.spec.ScenarioSpec` per sampled day whose
+parameters grow with time: topology size, collector peering breadth,
+community (geo-tagging) adoption and event volume all increase
+2010 → 2020, following the growth trends the paper cites (Streibelt et
+al.'s 250% community growth, doubling of collector sessions).  The
+days run like any other scenario (``run_sweep``), and
+:meth:`repro.analysis.longitudinal.LongitudinalSeries.from_metrics`
+aggregates their results into the figures' series.
 
-Running all 41 quarterly days at full size is slow, so the runner
-defaults to one day per year with small per-day topologies; the bench
-harness scales up when asked.
+Running all 41 quarterly days at full size is slow, so the default is
+one day per year with small per-day topologies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import TYPE_CHECKING, List
 
-from repro.analysis.classify import UpdateClassifier
-from repro.analysis.longitudinal import DailySnapshot, LongitudinalSeries
-from repro.analysis.observations import observations_from_collector
-from repro.analysis.revealed import RevealedInfoAnalysis
-from repro.netbase.timebase import parse_utc
-from repro.workloads.internet import InternetConfig, InternetModel
-from repro.workloads.topology_gen import TopologyParams
+from repro.netbase.timebase import format_utc, parse_utc
+from repro.workloads.internet import InternetConfig
+
+if TYPE_CHECKING:
+    from repro.scenarios.spec import ScenarioSpec
 
 #: The paper's sampled quarters: March/June/September/December 15.
 QUARTER_DAYS = ("03-15", "06-15", "09-15", "12-15")
+
+#: What each sampled day collects: Figure 2's types, Figure 6's
+#: revealed community attributes.
+DECADE_COLLECTORS = ("update_counts", "revealed")
 
 
 def sampled_days(
@@ -79,99 +83,64 @@ class GrowthModel:
     def _lerp(self, start: float, end: float, fraction: float) -> float:
         return start + (end - start) * fraction
 
-    def config_for(self, day_start: float) -> InternetConfig:
-        """Build the day's :class:`InternetConfig` from the growth curve."""
-        year_fraction = min(
+    def spec_for(self, day_start: float) -> "ScenarioSpec":
+        """The sampled day as an ``internet`` scenario.
+
+        It overrides the ``mar20`` base with the growth curve's dials
+        only.  The date names the spec but is not one of its fields:
+        beacon phases follow the time of day, so the sampled date
+        moves no count.
+        """
+        from repro.scenarios.spec import InternetSpec, ScenarioSpec
+
+        fraction = min(
             max((day_start - parse_utc("2010-01-01"))
                 / (parse_utc("2020-12-31") - parse_utc("2010-01-01")), 0.0),
             1.0,
         )
-        params = TopologyParams(
-            tier1_count=round(
-                self._lerp(self.tier1_2010, self.tier1_2020, year_fraction)
-            ),
-            transit_count=round(
-                self._lerp(
-                    self.transit_2010, self.transit_2020, year_fraction
-                )
-            ),
-            stub_count=round(
-                self._lerp(self.stub_2010, self.stub_2020, year_fraction)
-            ),
-            seed=self.base_seed + int(day_start // 86400),
-        )
-        flaps = round(
-            self._lerp(self.flaps_2010, self.flaps_2020, year_fraction)
-        )
+
+        def grown(start: float, end: float) -> int:
+            return round(self._lerp(start, end, fraction))
+
+        seed = self.base_seed + int(day_start // 86400)
+        flaps = grown(self.flaps_2010, self.flaps_2020)
         # Event volumes scale with the growth curve so that the type
         # mix stays comparable across the decade (the paper: "despite
         # increased community usage, the share of all types is
         # relatively stable") while absolute counts grow.
-        return InternetConfig(
-            topology=params,
-            day_start=day_start,
-            tagger_fraction=self._lerp(
-                self.tagger_2010, self.tagger_2020, year_fraction
+        return ScenarioSpec(
+            name=f"decade-{format_utc(day_start, with_time=False)}",
+            kind="internet",
+            description="one sampled day of the 2010-2020 series",
+            seed=seed,
+            internet=InternetSpec(
+                scale="mar20",
+                topology_seed=seed,
+                tier1_count=grown(self.tier1_2010, self.tier1_2020),
+                transit_count=grown(self.transit_2010, self.transit_2020),
+                stub_count=grown(self.stub_2010, self.stub_2020),
+                tagger_fraction=self._lerp(
+                    self.tagger_2010, self.tagger_2020, fraction
+                ),
+                collector_peer_fraction=self._lerp(
+                    self.peer_fraction_2010, self.peer_fraction_2020, fraction
+                ),
+                beacon_count=3,
+                link_flaps=flaps,
+                prefix_flaps=max(3, flaps // 2),
+                med_churn_events=grown(6, 30),
+                community_churn_events=grown(15, 70),
+                collector_session_resets=grown(3, 14),
+                prepend_change_events=grown(1, 4),
+                collector_names=("rrc00",),
             ),
-            collector_peer_fraction=self._lerp(
-                self.peer_fraction_2010,
-                self.peer_fraction_2020,
-                year_fraction,
-            ),
-            beacon_count=3,
-            link_flaps=flaps,
-            prefix_flaps=max(3, flaps // 2),
-            med_churn_events=round(self._lerp(6, 30, year_fraction)),
-            community_churn_events=round(
-                self._lerp(15, 70, year_fraction)
-            ),
-            collector_session_resets=round(
-                self._lerp(3, 14, year_fraction)
-            ),
-            prepend_change_events=round(self._lerp(1, 4, year_fraction)),
-            collector_names=("rrc00",),
-            seed=self.base_seed + int(day_start // 86400),
+            collectors=DECADE_COLLECTORS,
         )
 
+    def config_for(self, day_start: float) -> InternetConfig:
+        """The day's :class:`InternetConfig`, dated *day_start*."""
+        from repro.scenarios.engine import internet_config_from_spec
 
-class LongitudinalRunner:
-    """Runs the sampled days and aggregates Figure 2 / Figure 6 series."""
-
-    def __init__(
-        self,
-        *,
-        growth: "GrowthModel | None" = None,
-        days: "Optional[List[float]]" = None,
-    ):
-        self.growth = growth or GrowthModel()
-        self.days = days if days is not None else sampled_days()
-
-    def run_day(self, day_start: float) -> DailySnapshot:
-        """Simulate one sampled day and summarize it."""
-        config = self.growth.config_for(day_start)
-        simulated = InternetModel(config).run()
-        classifier = UpdateClassifier()
-        revealed = RevealedInfoAnalysis()
-        beacon_prefixes = set(simulated.beacon_prefixes)
-        for collector in simulated.collectors():
-            for observation in observations_from_collector(collector):
-                classifier.observe(observation)
-                if observation.prefix in beacon_prefixes:
-                    revealed.observe(observation)
-        return DailySnapshot(
-            day=day_start,
-            type_counts=classifier.counts,
-            revealed=revealed.result(),
-        )
-
-    def run(self) -> LongitudinalSeries:
-        """Simulate all sampled days."""
-        series = LongitudinalSeries()
-        for day_start in self.days:
-            series.add(self.run_day(day_start))
-        return series
-
-    def iter_snapshots(self) -> Iterator[DailySnapshot]:
-        """Generator variant for incremental reporting."""
-        for day_start in self.days:
-            yield self.run_day(day_start)
+        config = internet_config_from_spec(self.spec_for(day_start))
+        config.day_start = day_start
+        return config

@@ -56,7 +56,9 @@ class TestSuppressions:
             """,
             "rib/decision.py",
         )
-        assert [f.code for f in report.findings] == ["DET001"]
+        # The DET001 finding stands, and the DET002 waiver, having
+        # waived nothing, is reported as stale.
+        assert [f.code for f in report.findings] == ["DET001", "SUP001"]
 
     def test_multiple_codes_in_one_directive(self):
         report = _check(
@@ -127,7 +129,7 @@ class TestSuppressions:
         assert report.clean
         assert report.suppressed == 0
 
-    def test_unused_suppression_does_not_count(self):
+    def test_unused_suppression_is_sup001(self):
         report = _check(
             """
             # repro: allow(DET001) nothing on the next line triggers this
@@ -135,8 +137,58 @@ class TestSuppressions:
             """,
             "analysis/tables.py",
         )
-        assert report.clean
+        assert [(f.code, f.line) for f in report.findings] == [
+            ("SUP001", 2)
+        ]
+        assert "waives nothing" in report.findings[0].message
         assert report.suppressed == 0
+
+    def test_unused_waiver_is_judged_on_selected_codes_only(self):
+        source = """
+            def tie_break(route):
+                return hash(route)  # repro: allow(DET001,DET002) both
+            """
+        # DET001 used the waiver: not stale, whatever else it names.
+        assert _check(source, "rib/decision.py").clean
+        # Only DET002 checked: the waiver's checked code waived nothing.
+        report = _check(
+            source, "rib/decision.py", select=["DET002", "SUP001"]
+        )
+        assert [f.code for f in report.findings] == ["SUP001"]
+        # None of its codes checked: the waiver is not judged.
+        report = _check(
+            source, "rib/decision.py", select=["DET002"]
+        )
+        assert report.clean
+        report = _check(
+            source, "rib/decision.py", select=["IO001", "SUP001"]
+        )
+        assert report.clean
+
+    def test_project_level_finding_uses_its_waiver(self):
+        # CACHE001 is raised by finalize(), after every module was
+        # scanned; the waiver it uses must not then read as stale.
+        runner = (
+            'CACHE_VERSION = "v2"\n'
+            'CACHE_SCHEMA_FINGERPRINT = "stale"'
+            "  # repro: allow(CACHE001) fixture pins an old schema\n"
+            "\n\nclass SweepReport:\n    results: list\n"
+        )
+        report = check_source(
+            "def result_to_dict(result):\n"
+            '    return {"spec_hash": result.spec_hash}\n',
+            "scenarios/serialize.py",
+            select=["CACHE001", "SUP001"],
+            extra_modules=[
+                (
+                    "scenarios/engine.py",
+                    "class ScenarioResult:\n    spec_hash: str\n",
+                ),
+                ("scenarios/runner.py", runner),
+            ],
+        )
+        assert report.clean, report.findings
+        assert report.suppressed == 1
 
 
 class TestRunCheckOnDisk:

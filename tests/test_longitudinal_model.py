@@ -60,6 +60,24 @@ class TestGrowthModel:
         assert before.topology.stub_count == self.growth.stub_2010
         assert after.topology.stub_count == self.growth.stub_2020
 
+    def test_days_are_ordinary_mar20_specs(self):
+        from repro.scenarios import (
+            internet_config_from_spec,
+            spec_from_json,
+            spec_to_json,
+        )
+
+        day = parse_utc("2013-03-15")
+        spec = self.growth.spec_for(day).validate()
+        assert spec.name == "decade-2013-03-15"
+        assert spec.internet.scale == "mar20"
+        assert spec_from_json(spec_to_json(spec)) == spec
+        # The spec carries every dial but the date.
+        config = internet_config_from_spec(spec)
+        assert config.day_start != day
+        config.day_start = day
+        assert config == self.growth.config_for(day)
+
     def test_seeds_differ_per_day(self):
         first = self.growth.config_for(parse_utc("2015-03-15"))
         second = self.growth.config_for(parse_utc("2015-06-15"))

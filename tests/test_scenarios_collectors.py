@@ -14,20 +14,28 @@ from dataclasses import replace
 import pytest
 
 from repro.analysis import (
+    CommunityBehaviorClassifier,
+    CommunityExplorationDetector,
+    RevealedInfoResult,
     build_table1,
     build_table2,
     classify_observations,
+    group_into_streams,
+    score_against_ground_truth,
 )
 from repro.analysis.classify import (
     TYPE_ORDER,
     AnnouncementType,
     UpdateClassifier,
 )
+from repro.analysis.exploration import stream_phase_activity
 from repro.analysis.observations import (
     Observation,
     ObservationKind,
     SessionKey,
 )
+from repro.analysis.revealed import revealed_communities
+from repro.beacons import BeaconSchedule
 from repro.bgp import ASPath, CommunitySet
 from repro.netbase import Prefix
 from repro.scenarios import (
@@ -36,8 +44,9 @@ from repro.scenarios import (
     make_collectors,
     run_scenario,
 )
-from repro.scenarios.registry import INTERNET_COLLECTORS
+from repro.scenarios.registry import INTERNET_COLLECTORS, PAPER_COLLECTORS
 from repro.simulator.damping import RouteDamper
+from repro.workloads import CommunityPractice
 
 SESSIONS = (
     SessionKey("rrc00", 20205, "10.0.0.1"),
@@ -315,3 +324,120 @@ class TestOnePass:
         for collector in proxy.collectors:
             for name, value in vars(collector).items():
                 assert not _holds_observations(value), (collector.name, name)
+
+
+def _reference_pick(streams, kind):
+    """The stream with the most *kind* announcements (first on ties)."""
+    best, best_count = None, -1
+    for key, stream in streams.items():
+        count = stream_phase_activity(stream).type_counts()[kind]
+        if count > best_count:
+            best, best_count = key, count
+    return best
+
+
+class TestPaperCollectors:
+    """The artifact collectors against the analysis APIs they wrap."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_match_the_analysis_apis(self, seed):
+        observations = random_stream(seed)
+        practices = {
+            3356: CommunityPractice.TAGGER,
+            1299: CommunityPractice.CLEANER_EGRESS,
+            6939: CommunityPractice.IGNORER,
+        }
+        proxy = make_collectors(PAPER_COLLECTORS)
+        proxy.start(
+            ScenarioContext(
+                None, beacon_prefixes=BEACONS, practices=practices
+            )
+        )
+        for observation in observations:
+            proxy.observe(observation)
+        metrics = proxy.finish()
+        beacon_feed = [obs for obs in observations if obs.prefix in BEACONS]
+
+        sessions = {}
+        for obs in beacon_feed:
+            if obs.prefix == BEACONS[0] and obs.session.collector == "rrc00":
+                sessions.setdefault(obs.session, []).append(obs)
+        expected = sorted(
+            (
+                (str(session), classify_observations(stream))
+                for session, stream in sessions.items()
+            ),
+            key=lambda item: item[1].announcements_total,
+            reverse=True,
+        )
+        assert [
+            (row["session"], row["announcements"], row["types"])
+            for row in metrics["beacon_sessions"]["sessions"]
+        ] == [
+            (
+                session,
+                counts.announcements_total,
+                {kind.value: counts.counts[kind] for kind in TYPE_ORDER},
+            )
+            for session, counts in expected
+        ]
+
+        streams = group_into_streams(beacon_feed)
+        fig4 = _reference_pick(streams, AnnouncementType.NC)
+        schedule = BeaconSchedule()
+        assert metrics["beacon_phases"]["fig4"]["events"] == [
+            [when, kind.value, schedule.classify(when).value]
+            for when, kind in stream_phase_activity(streams[fig4]).events
+        ]
+        bursts = metrics["beacon_phases"]["fig4"]["bursts"]
+        assert [burst["start"] for burst in bursts] == [
+            event.start
+            for event in CommunityExplorationDetector().detect(
+                {fig4: streams[fig4]}
+            )
+        ]
+        cleaned = {
+            key: stream
+            for key, stream in streams.items()
+            if not any(
+                obs.is_announcement and not obs.communities.is_empty()
+                for obs in stream
+            )
+        }
+        fig5 = _reference_pick(cleaned, AnnouncementType.NN)
+        if fig5 is None:
+            assert metrics["beacon_phases"]["fig5"] is None
+        else:
+            assert metrics["beacon_phases"]["fig5"]["prefix"] == str(fig5[1])
+
+        revealed = revealed_communities(beacon_feed)
+        assert RevealedInfoResult.from_metrics(metrics["revealed"]) == revealed
+
+        classifier = CommunityBehaviorClassifier(min_samples=40)
+        classifier.observe_all(observations)
+        assert metrics["tomography"]["scores"] == score_against_ground_truth(
+            classifier.infer_all(),
+            {asn: practice.value for asn, practice in practices.items()},
+        )
+
+    def test_empty_artifacts_on_an_mrt_replay_still_render(
+        self, tiny_spill_archive
+    ):
+        from repro.reports.paper import render_artifact
+
+        base = get_scenario("mrt-replay")
+        result = run_scenario(
+            replace(
+                base,
+                mrt=replace(base.mrt, path=tiny_spill_archive),
+                collectors=PAPER_COLLECTORS,
+            )
+        )
+        metrics = result.metrics
+        # A replay has no beacon schedule and no ground truth.
+        assert metrics["beacon_sessions"]["sessions"] == []
+        assert metrics["beacon_phases"] == {"fig4": None, "fig5": None}
+        assert metrics["revealed"]["total_unique"] == 0
+        assert metrics["tomography"]["scores"]["classified"] == 0
+        for name in PAPER_COLLECTORS[1:]:  # all but update_counts
+            assert render_artifact(name, metrics[name])
