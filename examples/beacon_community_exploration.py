@@ -1,109 +1,40 @@
 #!/usr/bin/env python
 """Community exploration around beacon withdrawals (paper §6).
 
-Simulates a small internet for one day with RIPE-style routing beacons
-(announce 00:00 + 4h, withdraw 02:00 + 4h UTC), then:
+Runs the ``internet-small`` scenario, a small internet day with
+RIPE-style routing beacons (announce 00:00 + 4h, withdraw 02:00 + 4h
+UTC), with two collectors:
 
-1. finds the beacon stream with the strongest community exploration
-   (the Figure 4 pattern: pc followed by runs of nc announcements
-   inside withdrawal phases);
-2. detects exploration bursts and prints them;
-3. runs the revealed-information analysis — how many unique community
-   attributes only ever surface during withdrawal-driven path
-   exploration (the paper: ≈62%).
+1. ``beacon_phases`` picks the beacon stream with the strongest
+   community exploration (the Figure 4 pattern: pc followed by runs
+   of nc announcements inside withdrawal phases), counts its
+   exploration bursts, and picks the Figure 5 stream of cleaned
+   duplicates;
+2. ``revealed`` counts how many unique community attributes only ever
+   surface during withdrawal-driven path exploration (the paper:
+   ≈62%).
 
 Run:  python examples/beacon_community_exploration.py
 """
 
-from repro.analysis import (
-    AnnouncementType,
-    CommunityExplorationDetector,
-    group_into_streams,
-    observations_from_collector,
-)
-from repro.analysis.exploration import stream_phase_activity
-from repro.analysis.revealed import revealed_communities
-from repro.netbase.timebase import format_utc
-from repro.reports import format_share, render_table
-from repro.workloads import InternetConfig, InternetModel
+from dataclasses import replace
+
+from repro.reports.paper import render_artifact
+from repro.scenarios import get_scenario, run_scenario
+
+COLLECTORS = ("beacon_phases", "revealed")
 
 
 def main() -> None:
     print("simulating one day of a small internet with beacons ...")
-    day = InternetModel(InternetConfig.small()).run()
-    observations = []
-    for collector in day.collectors():
-        observations.extend(observations_from_collector(collector))
-    observations.sort(key=lambda obs: obs.timestamp)
-
-    beacons = set(day.beacon_prefixes)
-    beacon_observations = [
-        obs for obs in observations if obs.prefix in beacons
-    ]
-    streams = group_into_streams(beacon_observations)
-    print(
-        f"collected {len(observations)} observations,"
-        f" {len(beacon_observations)} on {len(beacons)} beacon prefixes"
-        f" across {len(streams)} (session, prefix) streams"
-    )
-
-    # --- the most exploration-heavy stream (Figure 4 style) ----------
-    def nc_count(stream):
-        return stream_phase_activity(stream).type_counts()[
-            AnnouncementType.NC
-        ]
-
-    key = max(streams, key=lambda key: nc_count(streams[key]))
-    session, prefix = key
-    activity = stream_phase_activity(streams[key])
-    print()
-    rows = [
-        (format_utc(when), kind.value) for when, kind in activity.events
-    ]
-    print(
-        render_table(
-            ("time", "type"),
-            rows[:30],
-            title=(
-                f"stream {prefix} via AS{session.peer_asn}"
-                f" @ {session.collector} (first 30 announcements)"
-            ),
-        )
-    )
-
-    # --- detected bursts ---------------------------------------------
-    events = CommunityExplorationDetector().detect(streams)
-    print()
-    print(
-        render_table(
-            ("start", "opener", "spurious", "distinct communities"),
-            [
-                (
-                    format_utc(event.start),
-                    event.opener.value,
-                    event.spurious_count,
-                    event.distinct_communities,
-                )
-                for event in events[:15]
-            ],
-            title=f"exploration bursts detected: {len(events)} total",
-        )
-    )
-
-    # --- revealed information ------------------------------------------
-    result = revealed_communities(beacon_observations)
-    print()
-    print(
-        render_table(
-            ("category", "count", "share"),
-            [
-                (label, count, format_share(share))
-                for label, count, share in result.as_rows()
-            ],
-            title="revealed unique community attributes (paper: ~62% "
-            "exclusively during withdrawals)",
-        )
-    )
+    spec = replace(get_scenario("internet-small"), collectors=COLLECTORS)
+    result = run_scenario(spec)
+    for name in COLLECTORS:
+        text = render_artifact(name, result.metrics.get(name))
+        if text is None:
+            raise SystemExit(f"{result.name}: no {name} artifact")
+        print()
+        print(text)
 
 
 if __name__ == "__main__":

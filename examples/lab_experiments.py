@@ -11,7 +11,7 @@ the paper tested.  The whole matrix is one declarative spec — see
 Run:  python examples/lab_experiments.py
 """
 
-from repro.reports import render_table
+from repro.reports.paper import render_artifact
 from repro.scenarios import get_scenario, run_scenario
 
 DESCRIPTIONS = {
@@ -24,14 +24,11 @@ DESCRIPTIONS = {
 
 def main() -> None:
     result = run_scenario(get_scenario("lab-baseline"))
-    matrix = result.metrics["lab_matrix"]
-    print(
-        render_table(
-            matrix["headers"],
-            matrix["rows"],
-            title="Lab behavior matrix (paper §3, Figure 1 topology)",
-        )
-    )
+    matrix = result.metrics.get("lab_matrix")
+    text = render_artifact("lab_matrix", matrix)
+    if text is None:
+        raise SystemExit(f"{result.name}: no lab_matrix artifact")
+    print(text)
     print()
     for experiment, description in DESCRIPTIONS.items():
         print(f"{experiment}: {description}")

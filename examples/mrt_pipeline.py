@@ -17,6 +17,10 @@ update archive.  It
 If you have real ``updates.*`` MRT files, steps 2-4 run on them
 unchanged: `MRTReader(open(path, 'rb'))`.
 
+Unlike the other examples, this one builds its pipeline by hand
+instead of running a scenario: it is the only demo of the §4
+``CleaningPipeline``, which no ``run_scenario`` path applies yet.
+
 Run:  python examples/mrt_pipeline.py
 """
 

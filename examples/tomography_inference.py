@@ -5,75 +5,36 @@
      communities, our work provides a first step toward predicting
      anomalous communities."
 
-This example simulates a day, runs the tomography classifier over the
-collector feeds, and — because the synthetic internet knows every AS's
-true practice — scores the inference the way a real study never could.
+This example runs the ``internet-small`` scenario with the
+``tomography`` collector: it infers each AS's community practice from
+the collector feeds alone and, because the synthetic internet knows
+every AS's true practice, scores the inference the way a real study
+never could.
 
 Run:  python examples/tomography_inference.py
 """
 
-from repro.analysis import observations_from_collector
-from repro.analysis.tomography import (
-    CommunityBehaviorClassifier,
-    InferredBehavior,
-    score_against_ground_truth,
-)
-from repro.reports import render_table
-from repro.workloads import InternetConfig, InternetModel
+from dataclasses import replace
+
+from repro.reports.paper import render_artifact
+from repro.scenarios import get_scenario, run_scenario
 
 
 def main() -> None:
     print("simulating one day of a small internet ...")
-    day = InternetModel(InternetConfig.small()).run()
-
-    classifier = CommunityBehaviorClassifier(min_samples=30)
-    for collector in day.collectors():
-        classifier.observe_all(observations_from_collector(collector))
-    inferences = classifier.infer_all()
-
-    ground_truth = {
-        asn: practice.value for asn, practice in day.practices.items()
-    }
-    rows = [
-        (
-            f"AS{inference.asn}",
-            inference.behavior.value,
-            ground_truth.get(inference.asn, "?"),
-            "OK" if _matches(inference, ground_truth) else "x",
-            f"{inference.own_tag_ratio:.2f}",
-            f"{inference.upstream_survival_ratio:.2f}",
-            inference.sample_size,
-        )
-        for inference in inferences
-        if inference.behavior != InferredBehavior.UNKNOWN
-    ]
+    spec = replace(get_scenario("internet-small"), collectors=("tomography",))
+    result = run_scenario(spec)
+    text = render_artifact("tomography", result.metrics.get("tomography"))
+    if text is None:
+        raise SystemExit(f"{result.name}: no tomography artifact")
     print()
-    print(
-        render_table(
-            ("AS", "inferred", "truth", "", "own-tag", "survival", "n"),
-            rows,
-            title="per-AS community behavior, inferred from the feed",
-        )
-    )
-    scores = score_against_ground_truth(inferences, ground_truth)
-    print()
-    for name, value in sorted(scores.items()):
-        print(f"  {name}: {value:.2f}")
+    print(text)
     print()
     print(
         "every row uses only collector-visible evidence; the 'truth'\n"
         "column is the simulation's ground truth — the validation the\n"
         "paper's future-work plan would need a testbed for."
     )
-
-
-def _matches(inference, ground_truth) -> bool:
-    truth = ground_truth.get(inference.asn, "")
-    if truth == "tagger":
-        return inference.behavior == InferredBehavior.TAGGER
-    if truth.startswith("cleaner"):
-        return inference.behavior == InferredBehavior.CLEANER
-    return inference.behavior == InferredBehavior.IGNORER
 
 
 if __name__ == "__main__":

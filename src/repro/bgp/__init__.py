@@ -20,7 +20,6 @@ from repro.bgp.community import (
     BLACKHOLE,
 )
 from repro.bgp.errors import BGPError, AttributeError_, WireFormatError
-from repro.bgp.fsm import SessionFSM, FSMState, FSMEvent, FSMTimers
 from repro.bgp.message import (
     BGPMessage,
     OpenMessage,
@@ -48,10 +47,6 @@ __all__ = [
     "BGPError",
     "AttributeError_",
     "WireFormatError",
-    "SessionFSM",
-    "FSMState",
-    "FSMEvent",
-    "FSMTimers",
     "BGPMessage",
     "OpenMessage",
     "UpdateMessage",

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import ipaddress
 from operator import itemgetter
-from typing import Iterator
 
 from repro.netbase.errors import PrefixError
 from repro.netbase.memo import bounded_store, memo_counters
@@ -218,11 +217,6 @@ class Prefix(tuple):
         octets = (self._length + 7) // 8
         packed = self._network.to_bytes(self.max_bits // 8, "big")[:octets]
         return bytes([self._length]) + packed
-
-    def iter_host_bits(self) -> Iterator[int]:
-        """Yield the network bits most-significant first (for tries)."""
-        for position in range(self._length):
-            yield (self._network >> (self.max_bits - 1 - position)) & 1
 
     # ------------------------------------------------------------------
     # dunder protocol

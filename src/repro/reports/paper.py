@@ -171,8 +171,10 @@ def _tomography(metrics: dict) -> str:
             " evidence)"
         ),
     )
+    # ``classified`` is a count that the payload stores as a float.
     scores = ", ".join(
-        f"{name}={value:.2f}"
+        f"{name}={int(value)}" if name == "classified"
+        else f"{name}={value:.2f}"
         for name, value in sorted(metrics["scores"].items())
     )
     return f"{table}\nscores: {scores}"

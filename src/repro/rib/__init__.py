@@ -11,7 +11,6 @@ from repro.rib.route import Route, RouteSource
 from repro.rib.adj_rib import AdjRIBIn, AdjRIBOut
 from repro.rib.loc_rib import LocRIB
 from repro.rib.decision import DecisionProcess, DecisionConfig
-from repro.rib.trie import PrefixTrie
 
 __all__ = [
     "Route",
@@ -21,5 +20,4 @@ __all__ = [
     "LocRIB",
     "DecisionProcess",
     "DecisionConfig",
-    "PrefixTrie",
 ]

@@ -137,7 +137,7 @@ class ScenarioSpec:
     """One fully-described, reproducible experiment."""
 
     name: str
-    kind: str  # "lab" | "internet"
+    kind: str  # "lab" | "internet" | "mrt"
     description: str = ""
     #: Master RNG seed; identical specs are bit-reproducible.
     seed: int = 0

@@ -181,10 +181,6 @@ class TestOrdering:
     def test_repr_is_evaluable_form(self):
         assert repr(Prefix("10.0.0.0/8")) == "Prefix('10.0.0.0/8')"
 
-    def test_iter_host_bits(self):
-        bits = list(Prefix("128.0.0.0/2").iter_host_bits())
-        assert bits == [1, 0]
-
 
 @st.composite
 def prefix_triples(draw):

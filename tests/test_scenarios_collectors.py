@@ -441,3 +441,7 @@ class TestPaperCollectors:
         assert metrics["tomography"]["scores"]["classified"] == 0
         for name in PAPER_COLLECTORS[1:]:  # all but update_counts
             assert render_artifact(name, metrics[name])
+        # The classified count prints as an integer, not as 0.00.
+        assert render_artifact("tomography", metrics["tomography"]).endswith(
+            "classified=0"
+        )
