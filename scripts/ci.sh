@@ -169,11 +169,14 @@ python -m pytest tests/test_backend_determinism.py -q
 
 echo
 echo "== end-to-end benchmark: pinned output digests =="
-# One short run per workload (about 20 s): every op must reproduce the
-# output digest pinned in benchmarks/e2e/workloads.json, or bench.py
-# exits non-zero.  replay-mar20 is left out because generating its
-# input archives takes about a minute.
-python3 benchmarks/e2e/bench.py --workload sim-medium,sweep-tiny --seconds 1
+# One short run per workload: every op must reproduce the output
+# digest pinned in benchmarks/e2e/workloads.json, or bench.py exits
+# non-zero.  replay-mar20 first generates its input, the internet-mar20
+# day's spilled archives (25-32 s on a 2-vCPU host, cached under
+# benchmarks/e2e/.work until src/repro changes), so this step takes
+# about a minute in all; it pins the MRT read path's output.
+python3 benchmarks/e2e/bench.py --workload sim-medium,sweep-tiny,replay-mar20 \
+    --seconds 1
 
 echo
 echo "== smoke: mrt-replay of a spilled archive =="

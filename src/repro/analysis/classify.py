@@ -24,7 +24,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.analysis.observations import Observation
+from repro.analysis.observations import Observation, ObservationKind
 from repro.bgp.aspath import ASPath
 from repro.bgp.community import CommunitySet
 
@@ -86,6 +86,7 @@ TYPE_ORDER = (
 # Python 3.11 every ``AnnouncementType.X`` lookup runs the Python-level
 # ``EnumType.__getattr__`` hook.
 _PC, _PN, _NC, _NN, _XC, _XN = TYPE_ORDER
+_WITHDRAW = ObservationKind.WITHDRAW
 
 
 def compare_announcements(
@@ -112,7 +113,8 @@ def compare_announcements(
     )
     if current_path is prior_path or current_path == prior_path:
         return _NC if community_changed else _NN
-    if current_path.is_prepend_variant_of(prior_path):
+    # is_prepend_variant_of without its second equality test.
+    if current_path.without_prepending() == prior_path.without_prepending():
         return _XC if community_changed else _XN
     return _PC if community_changed else _PN
 
@@ -237,11 +239,13 @@ class UpdateClassifier:
         already computed the (session, prefix) stream key may pass it
         to avoid recomputing it (the duplicate attributor does).
         """
-        if observation.is_withdrawal:
+        # Field reads, not the is_withdrawal/stream_key() helpers: this
+        # runs once per observation of every run.
+        if observation.kind is _WITHDRAW:
             self.counts.withdrawals += 1
             return None
         if key is None:
-            key = observation.stream_key()
+            key = (observation.session, observation.prefix)
         path = observation.as_path
         communities = observation.communities
         previous = self._last_state.get(key)

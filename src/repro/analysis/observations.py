@@ -88,30 +88,46 @@ class Observation(NamedTuple):
         return self._replace(as_path=as_path)
 
 
+_new_tuple = tuple.__new__
+_NO_COMMUNITIES = Observation._field_defaults["communities"]
+
+
 def explode_update(
     timestamp: float,
     session: SessionKey,
     message: UpdateMessage,
-) -> Iterator[Observation]:
-    """Flatten one UPDATE into per-prefix observations.
+) -> "tuple[Observation, ...]":
+    """Flatten one UPDATE into its per-prefix observations.
 
     Withdrawals come first, matching wire order within a message.
     """
-    # Positional arguments: a named tuple's keyword form takes about
-    # twice as long to build, once per (message, prefix).
+    # Built with tuple.__new__ and every field given: the named tuple's
+    # own constructor is a Python-level call, once per (message,
+    # prefix).
+    observations = []
     for prefix in message.withdrawn:
-        yield Observation(timestamp, session, prefix, _WITHDRAW)
-    if message.announced:
+        observations.append(
+            _new_tuple(
+                Observation,
+                (timestamp, session, prefix, _WITHDRAW, None,
+                 _NO_COMMUNITIES, None),
+            )
+        )
+    announced = message.announced
+    if announced:
         attributes = message.attributes
         assert attributes is not None
-        as_path = attributes.as_path
-        communities = attributes.communities
-        med = attributes.med
-        for prefix in message.announced:
-            yield Observation(
-                timestamp, session, prefix, _ANNOUNCE,
-                as_path, communities, med,
+        tail = (
+            _ANNOUNCE,
+            attributes.as_path,
+            attributes.communities,
+            attributes.med,
+        )
+        for prefix in announced:
+            observations.append(
+                _new_tuple(Observation, (timestamp, session, prefix) + tail)
             )
+    return tuple(observations)
 
 
 def observations_from_collector(collector) -> Iterator[Observation]:

@@ -22,6 +22,8 @@ from repro.bgp.errors import MessageError
 from repro.netbase.asn import ASN
 from repro.netbase.prefix import Prefix
 
+_new_object = object.__new__
+
 
 class BGPMessage:
     """Common base for the four BGP message types."""
@@ -148,6 +150,26 @@ class UpdateMessage(BGPMessage):
         message = cls.__new__(cls)
         message._announced = (prefixes,)
         message._withdrawn = ()
+        message._attributes = attributes
+        return message
+
+    @classmethod
+    def from_decoded(
+        cls,
+        announced: "tuple[Prefix, ...]",
+        withdrawn: "tuple[Prefix, ...]",
+        attributes: Optional[PathAttributes],
+    ) -> "UpdateMessage":
+        """Build from a decoder's checked parts, without re-checking.
+
+        The wire decoder's path: both tuples hold :class:`Prefix`
+        objects it built, at least one of them is non-empty, and
+        *attributes* is set exactly when something is announced.
+        Anything else must use the checked constructor.
+        """
+        message = _new_object(cls)
+        message._announced = announced
+        message._withdrawn = withdrawn
         message._attributes = attributes
         return message
 

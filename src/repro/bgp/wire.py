@@ -33,7 +33,7 @@ from repro.bgp.constants import (
     OriginCode,
     Safi,
 )
-from repro.bgp.errors import WireFormatError
+from repro.bgp.errors import MessageError, WireFormatError
 from repro.bgp.message import (
     BGPMessage,
     KeepaliveMessage,
@@ -180,8 +180,10 @@ def decode_message(data: bytes) -> BGPMessage:
 def decode_message_from(data) -> "tuple[BGPMessage, int]":
     """Parse one message from the front of *data*; return (msg, consumed).
 
-    *data* may be any bytes-like object; the MRT reader hands in
-    zero-copy :class:`memoryview` slices of its read buffer.
+    *data* may be any bytes-like object; the MRT reader hands in each
+    record's message as a :class:`bytes` slice of its read buffer, so
+    the attribute block and NLRI slices below need no further copy to
+    serve as memo keys.
     """
     if len(data) < HEADER_LENGTH:
         raise WireFormatError("truncated BGP header")
@@ -319,38 +321,61 @@ def _encode_update(message: UpdateMessage) -> bytes:
 
 
 def _decode_update(body) -> UpdateMessage:
-    if len(body) < 4:
+    size = len(body)
+    if size < 4:
         raise WireFormatError("truncated UPDATE")
-    withdrawn_length = _U16.unpack_from(body, 0)[0]
-    withdrawn_end = 2 + withdrawn_length
-    if withdrawn_end + 2 > len(body):
+    withdrawn_end = 2 + _U16.unpack_from(body, 0)[0]
+    if withdrawn_end + 2 > size:
         raise WireFormatError("truncated UPDATE withdrawn routes")
-    withdrawn = list(_decode_nlri_block(body[2:withdrawn_end], 4))
+    # Empty NLRI blocks, the common case for withdrawals, cost no call.
+    withdrawn = (
+        _decode_nlri_block(body[2:withdrawn_end], 4)
+        if withdrawn_end > 2
+        else ()
+    )
     offset = withdrawn_end + 2
     attr_end = offset + _U16.unpack_from(body, withdrawn_end)[0]
-    if attr_end > len(body):
+    if attr_end > size:
         raise WireFormatError("truncated UPDATE attributes")
-    attributes, reach_v6, unreach_v6 = _decode_attribute_block(
-        body[offset:attr_end]
+    raw = bytes(body[offset:attr_end])
+    block = _ATTR_BLOCK_MEMO.get(raw)
+    if block is None:
+        block = _decode_attribute_block(raw)
+    else:
+        _ATTR_BLOCK_STATS.hits += 1
+    attributes, reach_v6, unreach_v6 = block
+    announced = (
+        _decode_nlri_block(body[attr_end:], 4) if attr_end < size else ()
     )
-    announced = list(_decode_nlri_block(body[attr_end:], 4))
-    announced.extend(reach_v6)
-    withdrawn.extend(unreach_v6)
+    if reach_v6:
+        announced += reach_v6
+    if unreach_v6:
+        withdrawn += unreach_v6
     if not announced:
+        if not withdrawn:
+            raise MessageError("UPDATE with neither NLRI nor withdrawals")
         attributes = None
-    return UpdateMessage(
-        announced=announced, withdrawn=withdrawn, attributes=attributes
-    )
+    # Every prefix came from Prefix.from_nlri and the attributes from
+    # the block decoder, so the checked constructor would re-prove
+    # what this function just established.
+    return UpdateMessage.from_decoded(announced, withdrawn, attributes)
 
 
-def _decode_nlri_block(data, version: int) -> Iterator[Prefix]:
-    offset = 0
+def _decode_nlri_block(data, version: int) -> "tuple[Prefix, ...]":
     end = len(data)
+    if not end:
+        return ()
     from_nlri = Prefix.from_nlri
+    # Most blocks hold one prefix: decode it from the block itself.
+    prefix, offset = from_nlri(data, version)
+    if offset == end:
+        return (prefix,)
+    prefixes = [prefix]
     while offset < end:
         prefix, consumed = from_nlri(data[offset:], version)
-        yield prefix
+        prefixes.append(prefix)
         offset += consumed
+    return tuple(prefixes)
 
 
 # ----------------------------------------------------------------------
@@ -429,22 +454,17 @@ def _encode_attributes(attributes: PathAttributes) -> bytes:
     return bytes(out)
 
 
-def _decode_attribute_block(data):
-    """Decode one whole attribute block, memoized on its raw bytes.
+def _decode_attribute_block(raw: bytes):
+    """Decode one whole attribute block and memoize it on its bytes.
 
-    Returns ``(attributes, reach_v6, unreach_v6)`` where *attributes*
-    is a ready :class:`PathAttributes` (MP next-hop already folded in
-    when the block carried no classic NEXT_HOP).  Identical byte blocks
+    The miss path of the UPDATE decoder's block memo.  Returns
+    ``(attributes, reach_v6, unreach_v6)`` where *attributes* is a
+    ready :class:`PathAttributes` (MP next-hop already folded in when
+    the block carried no classic NEXT_HOP).  Identical byte blocks
     return the identical interned objects, so the per-stream
     classifiers downstream resolve the common duplicate case with one
     ``is`` check.
     """
-    raw = bytes(data)
-    if _memo_enabled:
-        cached = _ATTR_BLOCK_MEMO.get(raw)
-        if cached is not None:
-            _ATTR_BLOCK_STATS.hits += 1
-            return cached
     fields, reach_v6, unreach_v6, mp_next_hop = _parse_attributes(raw)
     if mp_next_hop is not None and fields.get("next_hop") is None:
         fields["next_hop"] = mp_next_hop

@@ -9,19 +9,20 @@ occasional damage, and the paper's pipeline drops rather than crashes.
 
 The reader is the front of the analysis hot path (a month of
 RouteViews archives is hundreds of millions of records), so it reads
-the stream in large chunks and decodes records through zero-copy
-:class:`memoryview` slices of its buffer instead of issuing one
-``stream.read`` per field.  Records of unmodeled types are *skipped*
-without ever materializing their bodies, and the per-session MRT
-envelope (ASNs + packed addresses) is memoized on its raw bytes — an
-archive carries only a handful of distinct sessions but repeats the
-envelope on every record.
+the stream in large chunks and unpacks each record's fields straight
+from that buffer instead of issuing one ``stream.read`` per field; the
+one slice it copies is the BGP message the wire codec decodes.
+Records of unmodeled types are *skipped* without ever materializing
+their bodies, and the per-session MRT envelope (ASNs + packed
+addresses) is memoized on its raw bytes — an archive carries only a
+handful of distinct sessions but repeats the envelope on every record.
+Each record is built from the memoized envelope's validated values.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import BinaryIO, Iterator, Optional
+from typing import BinaryIO, Iterator
 
 from repro.bgp.errors import WireFormatError
 from repro.bgp.message import UpdateMessage
@@ -43,6 +44,7 @@ _CHUNK_SIZE = 1 << 16  # 64 KiB read granularity
 
 _AS4_ENVELOPE = struct.Struct("!IIHH")
 _AS2_ENVELOPE = struct.Struct("!HHHH")
+_U16 = struct.Struct("!H")
 
 _BGP4MP = int(MRTType.BGP4MP)
 _BGP4MP_ET = int(MRTType.BGP4MP_ET)
@@ -73,7 +75,8 @@ class MRTReader:
         self._buffer = b""
         self._pos = 0
         self._stream_eof = False
-        # Raw envelope bytes -> (peer_asn, local_asn, peer, local, size).
+        # Raw envelope bytes -> (peer_asn, local_asn, peer_address,
+        # local_address), the values every record of the session shares.
         self._envelopes: dict = {}
 
     @property
@@ -87,12 +90,97 @@ class MRTReader:
         return self._errors
 
     def __iter__(self) -> Iterator[Bgp4mpMessage]:
+        # The per-record path runs on local names: one header unpack,
+        # one envelope-memo lookup, one message decode and one record
+        # built from the memoized envelope.  Refills, skips and damage
+        # go through the methods below.
+        unpack_header = HEADER_STRUCT.unpack_from
+        unpack_u16 = _U16.unpack_from
+        unpack_u32 = MICROSECONDS_STRUCT.unpack_from
+        envelopes = self._envelopes
+        envelope_stats = _ENVELOPE_STATS
+        decode = decode_message_from
+        make_record = Bgp4mpMessage.from_envelope
         while True:
-            record = self._read_one()
-            if record is _EOF:
-                return
-            if record is not None:
-                yield record
+            buffer = self._buffer
+            pos = self._pos
+            if len(buffer) - pos < _HEADER_SIZE:
+                if not self._fill(_HEADER_SIZE):
+                    if len(self._buffer) > self._pos:
+                        self._pos = len(self._buffer)
+                        self._damaged(
+                            "truncated MRT header at end of stream"
+                        )
+                    return
+                buffer = self._buffer
+                pos = self._pos
+            timestamp, mrt_type, subtype, length = unpack_header(buffer, pos)
+            start = pos + _HEADER_SIZE
+            end = start + length
+            self._pos = start
+            if mrt_type != _BGP4MP and mrt_type != _BGP4MP_ET:
+                # Fast skip: the body of an unmodeled record is never
+                # read into a Python object, just stepped over.
+                if self._skip(length):
+                    self._skipped += 1
+                else:
+                    self._damaged("truncated MRT record body")
+                continue
+            if end > len(buffer):
+                if not self._fill(length):
+                    self._pos = len(self._buffer)
+                    self._damaged("truncated MRT record body")
+                    continue
+                buffer = self._buffer
+                start = self._pos
+                end = start + length
+            self._pos = end
+            if mrt_type == _BGP4MP_ET:
+                if length <= 4:
+                    # length == 4 is the microseconds field alone: an
+                    # empty message body is damage, not a record.
+                    self._damaged("BGP4MP_ET record too short")
+                    continue
+                timestamp += unpack_u32(buffer, start)[0] / 1_000_000
+                start += 4
+            else:
+                timestamp = float(timestamp)
+            if subtype == _MESSAGE_AS4:
+                if end - start < 12:
+                    self._damaged("truncated BGP4MP_AS4 envelope")
+                    continue
+                afi = unpack_u16(buffer, start + 10)[0]
+                offset = 12
+            elif subtype == _MESSAGE:
+                if end - start < 8:
+                    self._damaged("truncated BGP4MP envelope")
+                    continue
+                afi = unpack_u16(buffer, start + 6)[0]
+                offset = 8
+            else:
+                self._skipped += 1
+                continue
+            envelope_end = start + offset + (8 if afi == 1 else 32)
+            envelope_key = buffer[start : min(envelope_end, end)]
+            try:
+                envelope = envelopes.get(envelope_key)
+                if envelope is None:
+                    envelope = bounded_store(
+                        envelopes,
+                        envelope_key,
+                        self._decode_envelope(
+                            envelope_key, subtype, afi, offset
+                        ),
+                        _ENVELOPE_MEMO_LIMIT,
+                        envelope_stats,
+                    )
+                else:
+                    envelope_stats.hits += 1
+                message, _consumed = decode(buffer[envelope_end:end])
+            except (MRTError, WireFormatError, ValueError) as exc:
+                self._damaged(str(exc))
+                continue
+            yield make_record(timestamp, envelope, message)
 
     # ------------------------------------------------------------------
     # buffered input
@@ -133,80 +221,6 @@ class MRTReader:
     # ------------------------------------------------------------------
     # record decode
     # ------------------------------------------------------------------
-    def _read_one(self):
-        if not self._fill(_HEADER_SIZE):
-            if len(self._buffer) == self._pos:
-                return _EOF
-            self._pos = len(self._buffer)
-            return self._damaged("truncated MRT header at end of stream")
-        pos = self._pos
-        timestamp, mrt_type, subtype, length = HEADER_STRUCT.unpack_from(
-            self._buffer, pos
-        )
-        self._pos = pos + _HEADER_SIZE
-        if mrt_type != _BGP4MP and mrt_type != _BGP4MP_ET:
-            # Fast skip: the body of an unmodeled record is never read
-            # into a Python object, just stepped over in the buffer.
-            if not self._skip(length):
-                return self._damaged("truncated MRT record body")
-            self._skipped += 1
-            return None
-        if not self._fill(length):
-            self._pos = len(self._buffer)
-            return self._damaged("truncated MRT record body")
-        start = self._pos
-        self._pos = start + length
-        body = memoryview(self._buffer)[start : self._pos]
-        if mrt_type == _BGP4MP_ET:
-            if length <= 4:
-                # length == 4 is the microseconds field alone: an empty
-                # message body is damage, not a decodable record.
-                return self._damaged("BGP4MP_ET record too short")
-            microseconds = MICROSECONDS_STRUCT.unpack_from(body, 0)[0]
-            return self._decode_bgp4mp(
-                timestamp + microseconds / 1_000_000, subtype, body[4:]
-            )
-        return self._decode_bgp4mp(float(timestamp), subtype, body)
-
-    def _decode_bgp4mp(
-        self, timestamp: float, subtype: int, body
-    ) -> Optional[Bgp4mpMessage]:
-        if subtype != _MESSAGE and subtype != _MESSAGE_AS4:
-            self._skipped += 1
-            return None
-        try:
-            if subtype == _MESSAGE_AS4:
-                if len(body) < 12:
-                    raise MRTError("truncated BGP4MP_AS4 envelope")
-                afi = _U16_AT(body, 10)
-                offset = 12
-            else:
-                if len(body) < 8:
-                    raise MRTError("truncated BGP4MP envelope")
-                afi = _U16_AT(body, 6)
-                offset = 8
-            envelope_end = offset + (8 if afi == 1 else 32)
-            envelope_key = bytes(body[:envelope_end])
-            envelope = self._envelopes.get(envelope_key)
-            if envelope is None:
-                envelope = bounded_store(
-                    self._envelopes,
-                    envelope_key,
-                    self._decode_envelope(envelope_key, subtype, afi, offset),
-                    _ENVELOPE_MEMO_LIMIT,
-                    _ENVELOPE_STATS,
-                )
-            else:
-                _ENVELOPE_STATS.hits += 1
-            peer_asn, local_asn, peer_address, local_address = envelope
-            message, _consumed = decode_message_from(body[envelope_end:])
-        except (MRTError, WireFormatError, ValueError) as exc:
-            return self._damaged(str(exc))
-        return Bgp4mpMessage(
-            timestamp, peer_asn, local_asn, peer_address, local_address,
-            message,
-        )
-
     @staticmethod
     def _decode_envelope(raw: bytes, subtype: int, afi: int, offset: int):
         if subtype == _MESSAGE_AS4:
@@ -222,31 +236,15 @@ class MRTReader:
         local_address = unpack_address(
             afi, raw[offset + addr_size : offset + 2 * addr_size]
         )
-        # Pre-validated ASN objects: Bgp4mpMessage's own ASN() calls
-        # then hit the identity fast path on every record.
+        # Validated once per distinct envelope: every record of the
+        # session is built from these very objects.
         return ASN(peer_asn), ASN(local_asn), peer_address, local_address
 
-    def _damaged(self, reason: str):
-        if self._tolerant:
-            self._errors += 1
-            return _EOF if "end of stream" in reason else None
-        raise MRTError(reason)
-
-
-def _U16_AT(buffer, index: int) -> int:
-    return (buffer[index] << 8) | buffer[index + 1]
-
-
-class _EOFType:
-    """Sentinel distinguishing end-of-stream from skipped records."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "<EOF>"
-
-
-_EOF = _EOFType()
+    def _damaged(self, reason: str) -> None:
+        """Count one damaged record, or raise in strict mode."""
+        if not self._tolerant:
+            raise MRTError(reason)
+        self._errors += 1
 
 
 def read_updates(stream: BinaryIO, **kwargs) -> Iterator[Bgp4mpMessage]:

@@ -54,6 +54,8 @@ class TableDumpV2Subtype(enum.IntEnum):
 _AFI_IPV4 = 1
 _AFI_IPV6 = 2
 
+_new_object = object.__new__
+
 #: Precompiled header structs (the reader unpacks one per record).
 HEADER_STRUCT = struct.Struct("!IHHI")
 MICROSECONDS_STRUCT = struct.Struct("!I")
@@ -149,6 +151,31 @@ class Bgp4mpMessage:
         self.peer_address = peer_address
         self.local_address = local_address
         self.message = message
+
+    @classmethod
+    def from_envelope(
+        cls,
+        timestamp: float,
+        envelope: "tuple[ASN, ASN, str, str]",
+        message: Optional[BGPMessage],
+    ) -> "Bgp4mpMessage":
+        """Build a record from an already validated session envelope.
+
+        *timestamp* must be a float and *envelope* the
+        ``(peer_asn, local_asn, peer_address, local_address)`` tuple
+        of :class:`ASN` objects and address strings that the reader's
+        envelope memo holds, so none of them is converted again.
+        """
+        record = _new_object(cls)
+        record.timestamp = timestamp
+        (
+            record.peer_asn,
+            record.local_asn,
+            record.peer_address,
+            record.local_address,
+        ) = envelope
+        record.message = message
+        return record
 
     def __repr__(self) -> str:
         return (

@@ -20,7 +20,6 @@ from typing import BinaryIO, Dict, Optional, Union
 
 from repro.analysis.observations import SessionKey, explode_update
 from repro.bgp.message import UpdateMessage
-from repro.mrt.records import Bgp4mpMessage
 from repro.pipeline.sinks import Sink, SinkBase
 
 
@@ -28,7 +27,8 @@ class ObservationStream(SinkBase):
     """Explode archived messages into observations, incrementally.
 
     Push :class:`CollectedMessage` items (live simulation) via
-    :meth:`push`, or MRT records via :meth:`push_bgp4mp`; every
+    :meth:`push`, or hand any archived message with its session to
+    :meth:`emit` (:func:`replay_mrt` does so for MRT records); every
     resulting observation is forwarded to *downstream* in arrival
     order.  Non-UPDATE messages are counted and dropped, exactly as
     the batch helpers do.
@@ -48,25 +48,15 @@ class ObservationStream(SinkBase):
     # ------------------------------------------------------------------
     def push(self, record) -> None:
         """One simulated :class:`CollectedMessage`."""
-        self._emit(
+        self.emit(
             record.timestamp,
             record.collector,
-            int(record.peer_asn),
+            record.peer_asn,
             record.peer_address,
             record.message,
         )
 
-    def push_bgp4mp(self, record: "Bgp4mpMessage", collector: str) -> None:
-        """One MRT record, labeled with its collector of origin."""
-        self._emit(
-            record.timestamp,
-            collector,
-            int(record.peer_asn),
-            record.peer_address,
-            record.message,
-        )
-
-    def _emit(
+    def emit(
         self,
         timestamp: float,
         collector: str,
@@ -74,6 +64,7 @@ class ObservationStream(SinkBase):
         peer_address: str,
         message,
     ) -> None:
+        """One archived message of the session (collector, peer)."""
         self.messages_seen += 1
         if not isinstance(message, UpdateMessage):
             self.skipped_non_updates += 1
@@ -81,7 +72,7 @@ class ObservationStream(SinkBase):
         cache_key = (collector, peer_asn, peer_address)
         session = self._session_cache.get(cache_key)
         if session is None:
-            session = SessionKey(collector, peer_asn, peer_address)
+            session = SessionKey(collector, int(peer_asn), peer_address)
             self._session_cache[cache_key] = session
         for observation in explode_update(timestamp, session, message):
             self.observations_emitted += 1
@@ -122,10 +113,16 @@ def replay_mrt(
     reader = MRTReader(reader_stream, tolerant=tolerant)
     records = 0
     try:
-        push_bgp4mp = stream.push_bgp4mp
+        emit = stream.emit
         for record in reader:
             records += 1
-            push_bgp4mp(record, collector)
+            emit(
+                record.timestamp,
+                collector,
+                record.peer_asn,
+                record.peer_address,
+                record.message,
+            )
     finally:
         if handle is not None:
             handle.close()

@@ -15,8 +15,10 @@ Two event streams exist:
   experiment × vendor cell.
 
 The proxy is the run's one §5 classification point: it types each
-observation once and hands that type to every collector with the
-observation, and each collector counts it into its own state.
+observation once and hands that type, with the observation, to every
+collector that observes.  The classifier's own tally is the one set of
+type counts: the collectors that report it share that object instead
+of counting a copy.
 
 A collector implements whichever hooks it cares about; unused hooks
 are no-ops, so a `"table2"` collector silently collects nothing on a
@@ -74,6 +76,14 @@ class MetricCollector:
     def start(self, context: ScenarioContext) -> None:
         """Called once before any event is delivered."""
 
+    def share_type_counts(self, counts: TypeCounts) -> None:
+        """Receive the run's one :class:`TypeCounts`.
+
+        The proxy calls this once, before any event, with the tally its
+        single classifier keeps.  A collector that reports those counts
+        keeps the object instead of tallying a copy in :meth:`observe`.
+        """
+
     def observe(
         self, observation: Observation, kind: "Optional[AnnouncementType]"
     ) -> None:
@@ -81,7 +91,8 @@ class MetricCollector:
 
         *kind* is its §5 type, classified once by the proxy for every
         collector: ``None`` for withdrawals and for the first
-        announcement on a (session, prefix) stream.
+        announcement on a (session, prefix) stream.  The proxy calls
+        only collectors that override this hook.
         """
 
     def observe_lab(self, result) -> None:
@@ -102,8 +113,16 @@ class CollectorProxy:
 
     def __init__(self, collectors: "Iterable[MetricCollector]"):
         self.collectors: "List[MetricCollector]" = list(collectors)
-        # The run's single §5 classifier; its types feed every collector.
+        # The run's single §5 classifier; its types feed every collector
+        # and its counts are the ones the type-count collectors report.
         self._classifier = UpdateClassifier()
+        for collector in self.collectors:
+            collector.share_type_counts(self._classifier.counts)
+        self._observers = [
+            collector.observe
+            for collector in self.collectors
+            if type(collector).observe is not MetricCollector.observe
+        ]
         #: Observations delivered so far (mid-run progress indicator).
         self.observed = 0
 
@@ -114,8 +133,8 @@ class CollectorProxy:
     def observe(self, observation: Observation) -> None:
         self.observed += 1
         kind = self._classifier.observe(observation)
-        for collector in self.collectors:
-            collector.observe(observation, kind)
+        for observe in self._observers:
+            observe(observation, kind)
 
     def observe_lab(self, result) -> None:
         for collector in self.collectors:
@@ -174,15 +193,13 @@ def make_collectors(names: "Iterable[str]") -> CollectorProxy:
 # built-in collectors
 # ----------------------------------------------------------------------
 class _TypeCountsCollector(MetricCollector):
-    """Base for collectors that tally the proxy's §5 types."""
+    """Base for collectors that report the proxy's §5 type counts."""
 
     def __init__(self):
         self._counts = TypeCounts()
 
-    def observe(
-        self, observation: Observation, kind: "Optional[AnnouncementType]"
-    ) -> None:
-        self._counts.tally(observation, kind)
+    def share_type_counts(self, counts: TypeCounts) -> None:
+        self._counts = counts
 
 
 @collector
@@ -340,10 +357,11 @@ class _BeaconCollector(MetricCollector):
 class Table2Collector(_BeaconCollector):
     """The paper's Table 2 announcement-type shares (full + beacons).
 
-    Counts the full feed and the beacon-prefix subset online.  The
-    subset needs no classifier of its own: beacon membership is by
-    prefix, so a beacon announcement's (session, prefix) stream — and
-    hence its shared type — is the same in both columns.
+    The full column is the proxy's own type counts; the beacon-prefix
+    subset is tallied online.  The subset needs no classifier of its
+    own: beacon membership is by prefix, so a beacon announcement's
+    (session, prefix) stream — and hence its shared type — is the same
+    in both columns.
     """
 
     name = "table2"
@@ -353,10 +371,12 @@ class Table2Collector(_BeaconCollector):
         self._full = TypeCounts()
         self._beacon = TypeCounts()
 
+    def share_type_counts(self, counts: TypeCounts) -> None:
+        self._full = counts
+
     def observe(
         self, observation: Observation, kind: "Optional[AnnouncementType]"
     ) -> None:
-        self._full.tally(observation, kind)
         if observation.prefix in self._beacon_prefixes:
             self._beacon.tally(observation, kind)
 

@@ -53,14 +53,14 @@ class TestExplode:
 
     def test_withdrawal_has_no_attributes(self):
         update = UpdateMessage.withdraw(Prefix("10.0.0.0/8"))
-        observation = next(explode_update(1.0, SESSION, update))
+        observation = explode_update(1.0, SESSION, update)[0]
         assert observation.as_path is None
         assert observation.communities.is_empty()
         assert observation.med is None
 
     def test_shifted_and_with_as_path(self):
         update = UpdateMessage.announce(Prefix("10.0.0.0/8"), attrs())
-        observation = next(explode_update(1.0, SESSION, update))
+        observation = explode_update(1.0, SESSION, update)[0]
         moved = observation.shifted(2.0)
         assert moved.timestamp == 2.0
         assert moved.prefix == observation.prefix
@@ -129,7 +129,7 @@ class TestValueTypeContract:
 
     def test_observation_is_immutable(self):
         update = UpdateMessage.announce(Prefix("10.0.0.0/8"), attrs())
-        observation = next(explode_update(1.0, SESSION, update))
+        observation = explode_update(1.0, SESSION, update)[0]
         with pytest.raises(AttributeError):
             observation.timestamp = 2.0
         with pytest.raises(AttributeError):
@@ -137,7 +137,7 @@ class TestValueTypeContract:
 
     def test_copies_keep_the_type(self):
         update = UpdateMessage.announce(Prefix("10.0.0.0/8"), attrs())
-        observation = next(explode_update(1.0, SESSION, update))
+        observation = explode_update(1.0, SESSION, update)[0]
         moved = observation.shifted(2.0)
         assert type(moved) is Observation
         assert moved == observation._replace(timestamp=2.0)

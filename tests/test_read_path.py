@@ -11,6 +11,8 @@ attempt), and every cache is bounded.
 import dataclasses
 import io
 import json
+import os
+import random
 import struct
 
 import pytest
@@ -19,6 +21,8 @@ from repro.analysis.classify import UpdateClassifier
 from repro.bgp import wire
 from repro.bgp.aspath import ASPath
 from repro.bgp.community import CommunitySet
+from repro.bgp.constants import MARKER
+from repro.bgp.errors import MessageError, WireFormatError
 from repro.bgp.attributes import PathAttributes
 from repro.bgp.message import UpdateMessage
 from repro.mrt import records as mrt_records
@@ -172,8 +176,6 @@ class TestTolerantMidStream:
 
     def make_mp_attr_record_bytes(self, mp_type: int, mp_value: bytes):
         """A raw ET record whose UPDATE carries a short MP attribute."""
-        from repro.bgp.constants import MARKER
-
         attrs = bytearray()
         attrs += bytes([0x40, 1, 1, 0])  # ORIGIN IGP
         attrs += bytes([0x40, 2, 6, 2, 1]) + struct.pack("!I", 20205)
@@ -417,3 +419,221 @@ class TestReaderStatsSurfacing:
         out = capsys.readouterr().out
         assert "mrt reader: 3 records decoded" in out
         assert "1 damaged-dropped" in out
+
+
+# ----------------------------------------------------------------------
+# the lean UPDATE decoder against a checked reference
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def small_spill(tmp_path_factory):
+    """The bytes of ``internet-small-spill``'s spilled archive."""
+    (spill_path,) = run_scenario(
+        get_scenario("internet-small-spill")
+    ).spill_paths.values()
+    try:
+        with open(spill_path, "rb") as handle:
+            return handle.read()
+    finally:
+        os.unlink(spill_path)
+
+
+def archive_messages(data: bytes):
+    """The raw BGP message of every BGP4MP(_ET) record in *data*."""
+    pos = 0
+    while pos < len(data):
+        _ts, mrt_type, subtype, length = mrt_records.HEADER_STRUCT.unpack_from(
+            data, pos
+        )
+        body = data[pos + 12 : pos + 12 + length]
+        pos += 12 + length
+        if mrt_type == 17:
+            body = body[4:]
+        offset = 12 if subtype == 4 else 8
+        (afi,) = struct.unpack_from("!H", body, offset - 2)
+        yield body[offset + (8 if afi == 1 else 32) :]
+
+
+def reference_decode(data: bytes):
+    """Decode one message the checked way.
+
+    An UPDATE body is split into lists of prefixes and the message is
+    built with the checked ``UpdateMessage(...)`` constructor, as the
+    decoder did before its lean path; other types go to the codec.
+    """
+    if len(data) < 19:
+        raise WireFormatError("truncated BGP header")
+    if data[:16] != MARKER:
+        raise WireFormatError("bad BGP marker")
+    length, kind = struct.unpack_from("!HB", data, 16)
+    if kind != 2:
+        return wire.decode_message(data)
+    if not 19 <= length <= 4096:
+        raise WireFormatError(f"bad message length: {length}")
+    if len(data) < length:
+        raise WireFormatError("truncated BGP message body")
+    body = data[19:length]
+    if len(body) < 4:
+        raise WireFormatError("truncated UPDATE")
+    withdrawn_end = 2 + struct.unpack_from("!H", body, 0)[0]
+    if withdrawn_end + 2 > len(body):
+        raise WireFormatError("truncated UPDATE withdrawn routes")
+    withdrawn = nlri_list(body[2:withdrawn_end], 4)
+    offset = withdrawn_end + 2
+    attr_end = offset + struct.unpack_from("!H", body, withdrawn_end)[0]
+    if attr_end > len(body):
+        raise WireFormatError("truncated UPDATE attributes")
+    fields, reach_v6, unreach_v6, mp_next_hop = wire._decode_attributes(
+        body[offset:attr_end]
+    )
+    if mp_next_hop is not None and fields.get("next_hop") is None:
+        fields["next_hop"] = mp_next_hop
+    attributes = PathAttributes(**fields)
+    announced = nlri_list(body[attr_end:], 4) + list(reach_v6)
+    withdrawn += list(unreach_v6)
+    message = UpdateMessage(
+        announced=announced,
+        withdrawn=withdrawn,
+        attributes=attributes if announced else None,
+    )
+    if length != len(data):
+        raise WireFormatError("trailing bytes after message")
+    return message
+
+
+def nlri_list(data: bytes, version: int) -> list:
+    prefixes = []
+    offset = 0
+    while offset < len(data):
+        prefix, consumed = Prefix.from_nlri(data[offset:], version)
+        prefixes.append(prefix)
+        offset += consumed
+    return prefixes
+
+
+def outcome(decode, data: bytes):
+    try:
+        return decode(data)
+    except Exception as exc:  # the class is what is compared
+        return type(exc)
+
+
+def mutated(message: bytes, rng) -> bytes:
+    """*message* with 1-4 body bytes replaced (the header kept)."""
+    if len(message) <= 19:
+        return message
+    data = bytearray(message)
+    for _ in range(rng.randint(1, 4)):
+        data[rng.randrange(19, len(data))] = rng.randrange(256)
+    return bytes(data)
+
+
+class TestLeanDecoderOracle:
+    def decode_both(self, messages):
+        """(lean, reference) outcomes: memos on, then memos off."""
+        wire.set_decode_memo(True)
+        prefix_module.set_nlri_memo(True)
+        lean = [outcome(wire.decode_message, data) for data in messages]
+        wire.set_decode_memo(False)
+        prefix_module.set_nlri_memo(False)
+        reference = [outcome(reference_decode, data) for data in messages]
+        return lean, reference
+
+    def assert_agree(self, messages):
+        lean, reference = self.decode_both(messages)
+        for data, fast, checked in zip(messages, lean, reference):
+            assert type(fast) is type(checked), data.hex()
+            assert fast == checked, data.hex()
+            if isinstance(fast, UpdateMessage):
+                assert type(fast.announced) is tuple
+                assert type(fast.withdrawn) is tuple
+
+    def test_every_update_of_a_spilled_archive(
+        self, small_spill, all_memos_on
+    ):
+        messages = list(archive_messages(small_spill))
+        assert len(messages) > 1000
+        self.assert_agree(messages)
+        lean, _ = self.decode_both(messages)
+        assert all(isinstance(item, UpdateMessage) for item in lean)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_byte_mutated_updates(self, small_spill, all_memos_on, seed):
+        rng = random.Random(seed)
+        originals = list(archive_messages(small_spill))
+        messages = [
+            mutated(rng.choice(originals), rng) for _ in range(1500)
+        ]
+        self.assert_agree(messages)
+        lean, _ = self.decode_both(messages)
+        # The mutations reach both outcomes, not only one of them.
+        assert any(isinstance(item, UpdateMessage) for item in lean)
+        assert any(isinstance(item, type) for item in lean)
+
+    def test_update_without_nlri_or_withdrawals(self, all_memos_on):
+        body = struct.pack("!HH", 0, 0)
+        data = MARKER + struct.pack("!HB", 19 + len(body), 2) + body
+        lean, reference = self.decode_both([data])
+        assert lean == reference == [MessageError]
+
+
+# ----------------------------------------------------------------------
+# whole-archive byte-mutation fuzzing through mrt-replay
+# ----------------------------------------------------------------------
+def damaged_archive(data: bytes, rng) -> bytes:
+    """A seeded mutation of a whole archive: byte flips or a cut."""
+    damaged = bytearray(data)
+    if rng.random() < 0.2:
+        del damaged[rng.randrange(len(damaged)) :]
+    for _ in range(rng.randint(1, 8)):
+        if damaged:
+            damaged[rng.randrange(len(damaged))] = rng.randrange(256)
+    return bytes(damaged)
+
+
+class TestArchiveFuzz:
+    COPIES = 24
+    PREFIX_BYTES = 40_000
+
+    def replay(self, scenario: str, path: str):
+        base = get_scenario(scenario)
+        return run_scenario(
+            dataclasses.replace(
+                base, mrt=dataclasses.replace(base.mrt, path=path)
+            )
+        )
+
+    def copies(self, small_spill, tmp_path):
+        rng = random.Random(2020)
+        prefix = small_spill[: self.PREFIX_BYTES]
+        for index in range(self.COPIES):
+            path = tmp_path / f"damaged-{index}.mrt"
+            path.write_bytes(damaged_archive(prefix, rng))
+            yield str(path)
+
+    def test_tolerant_replay_counts_damage_and_never_raises(
+        self, small_spill, tmp_path, all_memos_on
+    ):
+        damaged = 0
+        for path in self.copies(small_spill, tmp_path):
+            result = self.replay("mrt-replay", path)
+            stats = result.reader_stats
+            assert set(stats) == {
+                "records", "skipped_records", "error_records",
+                "messages", "observations",
+            }
+            assert stats["messages"] == stats["records"]
+            counts = result.metrics["update_counts"]
+            assert counts["observations"] == stats["observations"]
+            damaged += stats["error_records"] + stats["skipped_records"]
+        assert damaged > 0
+
+    def test_strict_replay_raises_only_mrt_error(
+        self, small_spill, tmp_path, all_memos_on
+    ):
+        rejected = 0
+        for path in self.copies(small_spill, tmp_path):
+            try:
+                self.replay("mrt-replay-strict", path)
+            except MRTError:
+                rejected += 1
+        assert rejected > 0
