@@ -182,7 +182,9 @@ echo
 echo "== smoke: mrt-replay of a spilled archive =="
 # Run the spilling scenario through the real CLI, pull the spill path
 # out of the JSON result, and replay it through the same pipeline.  The
-# replay must count exactly what the live run counted (live == spill).
+# replay must report exactly what the live run reported (live == spill)
+# in every collector, except table2's beacon column: an MRT replay has
+# no beacon schedule, so it leaves beacon_shares None by design.
 python -m repro scenario run internet-small-spill --json \
     > "$CACHE_DIR/spill-result.json"
 SPILL_PATH="$(python -c '
@@ -205,13 +207,19 @@ with open(sys.argv[2], "wb") as target:
 rm -f "$SPILL_PATH"
 python -c '
 import json, sys
-live, replay = (
-    json.load(open(path))["metrics"]["update_counts"] for path in sys.argv[1:]
-)
-print("live:  ", json.dumps(live, sort_keys=True))
-print("replay:", json.dumps(replay, sort_keys=True))
-if replay != live:
-    sys.exit("mrt-replay of the spilled archive disagrees with the live run")
+live, replay = (json.load(open(path))["metrics"] for path in sys.argv[1:])
+expected = {
+    "community_prevalence", "duplicates", "table1", "table2", "update_counts"
+}
+if set(live) != expected or set(replay) != expected:
+    sys.exit(f"collectors: live {sorted(live)}, replay {sorted(replay)}")
+assert replay["table2"].pop("beacon_shares") is None, replay["table2"]
+live["table2"].pop("beacon_shares")
+for name in sorted(expected):
+    print(f"{name}:", json.dumps(replay[name], sort_keys=True))
+    if replay[name] != live[name]:
+        print("live:", json.dumps(live[name], sort_keys=True))
+        sys.exit(f"mrt-replay of the spilled archive disagrees on {name}")
 ' "$CACHE_DIR/spill-result.json" "$CACHE_DIR/replay-result.json"
 
 echo

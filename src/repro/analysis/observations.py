@@ -133,8 +133,6 @@ def explode_update(
 def observations_from_collector(collector) -> Iterator[Observation]:
     """Observations from a simulated collector archive (arrival order)."""
     for record in collector.records:
-        if not isinstance(record.message, UpdateMessage):
-            continue
         session = SessionKey(
             collector=record.collector,
             peer_asn=int(record.peer_asn),

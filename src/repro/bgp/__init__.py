@@ -1,10 +1,14 @@
-"""BGP protocol model: messages, path attributes, communities, wire codec.
+"""BGP protocol model: UPDATE messages, path attributes, communities,
+wire codec.
 
 The model follows RFC 4271 (BGP-4), RFC 1997 (communities), RFC 8092
 (large communities), RFC 4760 (multiprotocol NLRI for IPv6) and
-RFC 6793 (4-byte AS numbers).  Everything the simulator emits can be
-serialized to the real wire format and back; the MRT layer
-(:mod:`repro.mrt`) reuses this codec for archive records.
+RFC 6793 (4-byte AS numbers).  :class:`UpdateMessage` is the one
+message class: the simulator sends nothing else, and every UPDATE it
+emits can be serialized to the real wire format and back.  The MRT
+layer (:mod:`repro.mrt`) reuses this codec for archive records; the
+decoder checks an archived OPEN, NOTIFICATION, KEEPALIVE or
+ROUTE-REFRESH and returns its :class:`MessageType`.
 """
 
 from repro.bgp.aspath import ASPath, PathSegment, SegmentType
@@ -20,14 +24,8 @@ from repro.bgp.community import (
     BLACKHOLE,
 )
 from repro.bgp.errors import BGPError, AttributeError_, WireFormatError
-from repro.bgp.message import (
-    BGPMessage,
-    OpenMessage,
-    UpdateMessage,
-    KeepaliveMessage,
-    NotificationMessage,
-    RouteRefreshMessage,
-)
+from repro.bgp.constants import MessageType
+from repro.bgp.message import UpdateMessage
 from repro.bgp.wire import decode_message, encode_message
 
 __all__ = [
@@ -47,12 +45,8 @@ __all__ = [
     "BGPError",
     "AttributeError_",
     "WireFormatError",
-    "BGPMessage",
-    "OpenMessage",
+    "MessageType",
     "UpdateMessage",
-    "KeepaliveMessage",
-    "NotificationMessage",
-    "RouteRefreshMessage",
     "decode_message",
     "encode_message",
 ]

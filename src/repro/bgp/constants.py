@@ -12,8 +12,6 @@ MARKER = b"\xff" * 16
 MAX_MESSAGE_LENGTH = 4096
 #: BGP version negotiated in OPEN.
 BGP_VERSION = 4
-#: Default hold time used by our simulated speakers (seconds).
-DEFAULT_HOLD_TIME = 90
 
 
 class MessageType(enum.IntEnum):
@@ -98,13 +96,3 @@ class Safi(enum.IntEnum):
     UNICAST = 1
     MULTICAST = 2
 
-
-class NotificationCode(enum.IntEnum):
-    """NOTIFICATION error codes (RFC 4271 §4.5)."""
-
-    MESSAGE_HEADER_ERROR = 1
-    OPEN_MESSAGE_ERROR = 2
-    UPDATE_MESSAGE_ERROR = 3
-    HOLD_TIMER_EXPIRED = 4
-    FSM_ERROR = 5
-    CEASE = 6

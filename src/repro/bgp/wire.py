@@ -1,10 +1,12 @@
 """Binary wire codec for BGP messages (RFC 4271 + extensions).
 
-The codec is complete enough to round-trip every message the simulator
-produces, including IPv6 routes via MP_REACH_NLRI / MP_UNREACH_NLRI
-(RFC 4760), classic and large communities, and 4-byte AS paths
-(RFC 6793 — we always encode 4-octet ASNs, as modern speakers do once
-the capability is negotiated).
+The codec round-trips every UPDATE the simulator produces, including
+IPv6 routes via MP_REACH_NLRI / MP_UNREACH_NLRI (RFC 4760), classic
+and large communities, and 4-byte AS paths (RFC 6793 — we always
+encode 4-octet ASNs, as modern speakers do once the capability is
+negotiated).  UPDATE is the only message it builds or encodes; the
+decoder checks an archived OPEN, NOTIFICATION, KEEPALIVE or
+ROUTE-REFRESH and returns its :class:`MessageType`.
 
 The MRT layer wraps these encodings in archive records, so a synthetic
 "RouteViews dump" written by :mod:`repro.mrt` contains genuine BGP
@@ -15,7 +17,6 @@ from __future__ import annotations
 
 import ipaddress
 import struct
-from typing import Iterator
 
 from repro.bgp.aspath import ASPath, PathSegment, SegmentType
 from repro.bgp.attributes import PathAttributes
@@ -34,28 +35,16 @@ from repro.bgp.constants import (
     Safi,
 )
 from repro.bgp.errors import MessageError, WireFormatError
-from repro.bgp.message import (
-    BGPMessage,
-    KeepaliveMessage,
-    NotificationMessage,
-    OpenMessage,
-    RouteRefreshMessage,
-    UpdateMessage,
-)
+from repro.bgp.message import UpdateMessage
 from repro.netbase.asn import ASN
 from repro.netbase.memo import bounded_store, memo_counters
 from repro.netbase.prefix import Prefix
-
-_CAP_MP = 1
-_CAP_FOUR_OCTET_ASN = 65
-_AS_TRANS = 23456
 
 # Precompiled structs for the decode hot path: a month of RouteViews
 # archives runs hundreds of millions of messages through these.
 _LEN_TYPE = struct.Struct("!HB")
 _U16 = struct.Struct("!H")
 _U32 = struct.Struct("!I")
-_HBB = struct.Struct("!HBB")
 _AFI_SAFI = struct.Struct("!HB")
 
 _TYPE_UPDATE = int(MessageType.UPDATE)
@@ -63,6 +52,10 @@ _TYPE_OPEN = int(MessageType.OPEN)
 _TYPE_KEEPALIVE = int(MessageType.KEEPALIVE)
 _TYPE_NOTIFICATION = int(MessageType.NOTIFICATION)
 _TYPE_ROUTE_REFRESH = int(MessageType.ROUTE_REFRESH)
+
+#: NOTIFICATION error codes of RFC 4271 §4.5 (Message Header Error to
+#: Cease); any other code is rejected.
+_NOTIFICATION_CODES = frozenset(range(1, 7))
 
 _ORIGIN_BY_CODE = {int(code): code for code in OriginCode}
 
@@ -142,32 +135,16 @@ def _ipv4_text(packed: bytes) -> str:
 # ----------------------------------------------------------------------
 # top-level encode / decode
 # ----------------------------------------------------------------------
-def encode_message(message: BGPMessage) -> bytes:
-    """Serialize any BGP message to its RFC 4271 wire form."""
-    if isinstance(message, OpenMessage):
-        body = _encode_open(message)
-        kind = MessageType.OPEN
-    elif isinstance(message, UpdateMessage):
-        body = _encode_update(message)
-        kind = MessageType.UPDATE
-    elif isinstance(message, KeepaliveMessage):
-        body = b""
-        kind = MessageType.KEEPALIVE
-    elif isinstance(message, NotificationMessage):
-        body = bytes([message.code, message.subcode]) + message.data
-        kind = MessageType.NOTIFICATION
-    elif isinstance(message, RouteRefreshMessage):
-        body = struct.pack("!HBB", message.afi, 0, message.safi)
-        kind = MessageType.ROUTE_REFRESH
-    else:
-        raise WireFormatError(f"cannot encode {type(message).__name__}")
+def encode_message(message: UpdateMessage) -> bytes:
+    """Serialize an UPDATE to its RFC 4271 wire form."""
+    body = _encode_update(message)
     total = HEADER_LENGTH + len(body)
     if total > MAX_MESSAGE_LENGTH:
         raise WireFormatError(f"message too large: {total} bytes")
-    return MARKER + struct.pack("!HB", total, kind) + body
+    return MARKER + _LEN_TYPE.pack(total, _TYPE_UPDATE) + body
 
 
-def decode_message(data: bytes) -> BGPMessage:
+def decode_message(data: bytes) -> "UpdateMessage | MessageType":
     """Parse one wire-format BGP message (exact-length input)."""
     message, consumed = decode_message_from(data)
     if consumed != len(data):
@@ -177,13 +154,15 @@ def decode_message(data: bytes) -> BGPMessage:
     return message
 
 
-def decode_message_from(data) -> "tuple[BGPMessage, int]":
+def decode_message_from(data) -> "tuple[UpdateMessage | MessageType, int]":
     """Parse one message from the front of *data*; return (msg, consumed).
 
     *data* may be any bytes-like object; the MRT reader hands in each
     record's message as a :class:`bytes` slice of its read buffer, so
     the attribute block and NLRI slices below need no further copy to
-    serve as memo keys.
+    serve as memo keys.  An UPDATE decodes to an
+    :class:`UpdateMessage`.  Any other type is checked and returned as
+    its :class:`MessageType`: the analysis reads nothing from it.
     """
     if len(data) < HEADER_LENGTH:
         raise WireFormatError("truncated BGP header")
@@ -200,95 +179,39 @@ def decode_message_from(data) -> "tuple[BGPMessage, int]":
     if kind == _TYPE_KEEPALIVE:
         if len(body):
             raise WireFormatError("KEEPALIVE with a body")
-        return KeepaliveMessage(), length
+        return MessageType.KEEPALIVE, length
     if kind == _TYPE_OPEN:
-        return _decode_open(body), length
+        _check_open(body)
+        return MessageType.OPEN, length
     if kind == _TYPE_ROUTE_REFRESH:
         if len(body) != 4:
             raise WireFormatError("bad ROUTE-REFRESH length")
-        afi, _reserved, safi = _HBB.unpack(body)
-        return RouteRefreshMessage(afi, safi), length
+        return MessageType.ROUTE_REFRESH, length
     if kind == _TYPE_NOTIFICATION:
         if len(body) < 2:
             raise WireFormatError("truncated NOTIFICATION")
-        return NotificationMessage(body[0], body[1], bytes(body[2:])), length
+        if body[0] not in _NOTIFICATION_CODES:
+            raise ValueError(f"unknown NOTIFICATION code: {body[0]}")
+        return MessageType.NOTIFICATION, length
     raise WireFormatError(f"unknown message type: {kind}")
 
 
-def iter_messages(data: bytes) -> Iterator[BGPMessage]:
-    """Yield successive messages from a concatenated byte stream."""
-    offset = 0
-    while offset < len(data):
-        message, consumed = decode_message_from(data[offset:])
-        yield message
-        offset += consumed
+def _check_open(body) -> None:
+    """Reject a malformed OPEN body (RFC 4271 §4.2).
 
-
-# ----------------------------------------------------------------------
-# OPEN
-# ----------------------------------------------------------------------
-def _encode_open(message: OpenMessage) -> bytes:
-    asn16 = int(message.asn) if message.asn.is_16bit else _AS_TRANS
-    router_id = int(ipaddress.IPv4Address(message.router_id))
-    capabilities = bytearray()
-    # Multiprotocol: IPv4 and IPv6 unicast.
-    for afi in (Afi.IPV4, Afi.IPV6):
-        capabilities += bytes([_CAP_MP, 4]) + struct.pack(
-            "!HBB", afi, 0, Safi.UNICAST
-        )
-    if message.four_octet_asn:
-        capabilities += bytes([_CAP_FOUR_OCTET_ASN, 4]) + struct.pack(
-            "!I", int(message.asn)
-        )
-    optional = b""
-    if capabilities:
-        optional = bytes([2, len(capabilities)]) + bytes(capabilities)
-    return (
-        struct.pack(
-            "!BHHI",
-            BGP_VERSION,
-            asn16,
-            message.hold_time,
-            router_id,
-        )
-        + bytes([len(optional)])
-        + optional
-    )
-
-
-def _decode_open(body: bytes) -> OpenMessage:
+    The fixed fields must be whole, the version 4, the optional
+    parameters as long as their length octet says, and the hold time
+    not 1 or 2 seconds.  Capabilities are not read.
+    """
     if len(body) < 10:
         raise WireFormatError("truncated OPEN")
-    version, asn16, hold_time, router_id_int = struct.unpack(
-        "!BHHI", body[:9]
-    )
-    if version != BGP_VERSION:
-        raise WireFormatError(f"unsupported BGP version: {version}")
-    opt_length = body[9]
-    optional = body[10 : 10 + opt_length]
-    if len(optional) != opt_length:
+    if body[0] != BGP_VERSION:
+        raise WireFormatError(f"unsupported BGP version: {body[0]}")
+    if len(body) < 10 + body[9]:
         raise WireFormatError("truncated OPEN optional parameters")
-    asn = asn16
-    four_octet = False
-    offset = 0
-    while offset + 2 <= len(optional):
-        param_type, param_length = optional[offset], optional[offset + 1]
-        value = optional[offset + 2 : offset + 2 + param_length]
-        offset += 2 + param_length
-        if param_type != 2:  # only capabilities are modeled
-            continue
-        cap_offset = 0
-        while cap_offset + 2 <= len(value):
-            cap_code, cap_length = value[cap_offset], value[cap_offset + 1]
-            cap_value = value[cap_offset + 2 : cap_offset + 2 + cap_length]
-            cap_offset += 2 + cap_length
-            if cap_code == _CAP_FOUR_OCTET_ASN and cap_length == 4:
-                asn = struct.unpack("!I", cap_value)[0]
-                four_octet = True
-    router_id = str(ipaddress.IPv4Address(router_id_int))
-    return OpenMessage(
-        asn, router_id, hold_time, four_octet_asn=four_octet
-    )
+    hold_time = _U16.unpack_from(body, 3)[0]
+    if hold_time in (1, 2):
+        raise MessageError(f"hold time 1-2 forbidden by RFC 4271: {hold_time}")
 
 
 # ----------------------------------------------------------------------

@@ -420,9 +420,14 @@ def _scenario_run(arguments) -> int:
         result_to_json,
         run_scenario,
     )
+    from repro.scenarios.engine import check_heartbeat_every
 
     want_metrics = arguments.metrics or arguments.metrics_out is not None
-    journal = None
+    try:
+        check_heartbeat_every(arguments.heartbeat_every)
+    except ValueError as exc:
+        print(f"bad run arguments: {exc}", file=sys.stderr)
+        return 2
     try:
         spec, error = _load_run_spec(arguments)
         if error is not None:
@@ -442,14 +447,10 @@ def _scenario_run(arguments) -> int:
                     file=sys.stderr,
                 )
 
-        if arguments.journal is not None:
-            journal = obs.RunJournal(arguments.journal)
-            journal.write("start", name=spec.name)
-
         def execute():
             return run_scenario(
                 spec,
-                journal=journal,
+                journal_path=arguments.journal,
                 heartbeat_every=arguments.heartbeat_every,
                 on_heartbeat=on_heartbeat,
             )
@@ -461,13 +462,6 @@ def _scenario_run(arguments) -> int:
                 print(profile_text, file=sys.stderr)
             else:
                 result = execute()
-        except BaseException as exc:
-            # Every started run ends its journal, so a journal reader
-            # never sees a run that began and never finished.
-            if journal is not None:
-                journal.write("fail", error=str(exc))
-                journal.close()
-            raise
         finally:
             if want_metrics:
                 obs.set_metrics_enabled(previous)
@@ -482,9 +476,6 @@ def _scenario_run(arguments) -> int:
             raise
         print(f"cannot replay {spec.mrt.path}: {exc}", file=sys.stderr)
         return 2
-    if journal is not None:
-        journal.write("finish")
-        journal.close()
     if arguments.metrics_out is not None:
         with open(arguments.metrics_out, "w", encoding="utf-8") as handle:
             handle.write(

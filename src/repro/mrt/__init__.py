@@ -14,7 +14,7 @@ from repro.mrt.records import (
     PeerIndexTable,
     MRTError,
 )
-from repro.mrt.reader import MRTReader, read_updates
+from repro.mrt.reader import MRTReader
 from repro.mrt.table_dump import (
     RibEntry,
     RibSnapshot,
@@ -30,7 +30,6 @@ __all__ = [
     "PeerIndexTable",
     "MRTError",
     "MRTReader",
-    "read_updates",
     "MRTWriter",
     "RibEntry",
     "RibSnapshot",

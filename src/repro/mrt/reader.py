@@ -25,7 +25,6 @@ import struct
 from typing import BinaryIO, Iterator
 
 from repro.bgp.errors import WireFormatError
-from repro.bgp.message import UpdateMessage
 from repro.bgp.wire import decode_message_from
 from repro.mrt.records import (
     HEADER_STRUCT,
@@ -246,9 +245,3 @@ class MRTReader:
             raise MRTError(reason)
         self._errors += 1
 
-
-def read_updates(stream: BinaryIO, **kwargs) -> Iterator[Bgp4mpMessage]:
-    """Yield only records that carry an UPDATE message."""
-    for record in MRTReader(stream, **kwargs):
-        if isinstance(record.message, UpdateMessage):
-            yield record

@@ -17,11 +17,9 @@ from __future__ import annotations
 import enum
 import ipaddress
 import struct
-from typing import Optional
-
-from repro.bgp.message import BGPMessage
+from repro.bgp.constants import MessageType
+from repro.bgp.message import UpdateMessage
 from repro.netbase.asn import ASN
-from repro.netbase.memo import bounded_store, memo_counters
 
 
 class MRTError(ValueError):
@@ -60,34 +58,6 @@ _new_object = object.__new__
 HEADER_STRUCT = struct.Struct("!IHHI")
 MICROSECONDS_STRUCT = struct.Struct("!I")
 
-#: Packed-address -> text memo.  Collector archives carry the same
-#: handful of session addresses on every record; formatting them
-#: through :mod:`ipaddress` once per distinct value instead of once per
-#: record is a large win on the decode hot path.  Bounded: cleared
-#: wholesale when full.
-_ADDRESS_MEMO: dict = {}
-_ADDRESS_MEMO_LIMIT = 8192
-_address_memo_enabled = True
-_ADDRESS_STATS = memo_counters("mrt.address")
-
-
-def set_address_memo(enabled: bool) -> bool:
-    """Enable/disable (and clear) the packed-address memo.
-
-    Returns the previous setting (the read-path tests toggle this).
-    """
-    global _address_memo_enabled
-    previous = _address_memo_enabled
-    _address_memo_enabled = bool(enabled)
-    _ADDRESS_MEMO.clear()
-    return previous
-
-
-def address_memo_size() -> int:
-    """Current number of memoized addresses (for bound tests)."""
-    return len(_ADDRESS_MEMO)
-
-
 class MRTHeader:
     """The common MRT record header."""
 
@@ -122,8 +92,9 @@ class MRTHeader:
 class Bgp4mpMessage:
     """A decoded BGP4MP(_ET) MESSAGE(_AS4) record.
 
-    Carries the archived BGP message plus the session envelope that the
-    analysis pipeline keys streams on: (peer ASN, peer address) is the
+    Carries the archived BGP message (an :class:`UpdateMessage`, or the
+    :class:`MessageType` of any other message type) plus the session
+    envelope that the analysis pipeline keys streams on: (peer ASN, peer address) is the
     paper's notion of a *BGP session* at a collector.
     """
 
@@ -143,7 +114,7 @@ class Bgp4mpMessage:
         local_asn: int,
         peer_address: str,
         local_address: str,
-        message: Optional[BGPMessage],
+        message: "UpdateMessage | MessageType | None",
     ):
         self.timestamp = float(timestamp)
         self.peer_asn = ASN(peer_asn)
@@ -157,7 +128,7 @@ class Bgp4mpMessage:
         cls,
         timestamp: float,
         envelope: "tuple[ASN, ASN, str, str]",
-        message: Optional[BGPMessage],
+        message: "UpdateMessage | MessageType",
     ) -> "Bgp4mpMessage":
         """Build a record from an already validated session envelope.
 
@@ -214,29 +185,21 @@ def pack_address(address: str) -> "tuple[int, bytes]":
 
 
 def unpack_address(afi: int, data: bytes) -> str:
-    """Decode a packed address for the given AFI."""
+    """Decode a packed address for the given AFI.
+
+    The MRT reader calls this once per distinct session envelope, not
+    once per record: its envelope memo keeps the result.
+    """
     packed = bytes(data)
-    if _address_memo_enabled:
-        cached = _ADDRESS_MEMO.get((afi, packed))
-        if cached is not None:
-            _ADDRESS_STATS.hits += 1
-            return cached
     if afi == _AFI_IPV4:
         if len(packed) != 4:
             raise MRTError(f"bad IPv4 address length: {len(packed)}")
-        text = str(ipaddress.IPv4Address(packed))
-    elif afi == _AFI_IPV6:
+        return str(ipaddress.IPv4Address(packed))
+    if afi == _AFI_IPV6:
         if len(packed) != 16:
             raise MRTError(f"bad IPv6 address length: {len(packed)}")
-        text = str(ipaddress.IPv6Address(packed))
-    else:
-        raise MRTError(f"unsupported AFI: {afi}")
-    if _address_memo_enabled:
-        bounded_store(
-            _ADDRESS_MEMO, (afi, packed), text, _ADDRESS_MEMO_LIMIT,
-            _ADDRESS_STATS,
-        )
-    return text
+        return str(ipaddress.IPv6Address(packed))
+    raise MRTError(f"unsupported AFI: {afi}")
 
 
 def encode_header(header: MRTHeader) -> bytes:

@@ -295,16 +295,12 @@ def snapshot_from_collector(collector, *, at: float = 0.0) -> RibSnapshot:
     keeps the latest surviving announcement per (session, prefix) —
     exactly what the collector's RIB would contain.
     """
-    from repro.bgp.message import UpdateMessage
-
     peers: List[Tuple[int, str]] = []
     peer_index: Dict[Tuple[int, str], int] = {}
     state: Dict[Tuple[int, Prefix], Tuple[float, PathAttributes]] = {}
     for record in collector.records:
         if at and record.timestamp > at:
             break
-        if not isinstance(record.message, UpdateMessage):
-            continue
         key = (int(record.peer_asn), record.peer_address)
         if key not in peer_index:
             peer_index[key] = len(peers)

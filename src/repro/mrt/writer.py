@@ -14,7 +14,7 @@ import io
 import struct
 from typing import BinaryIO, Iterable
 
-from repro.bgp.message import BGPMessage
+from repro.bgp.message import UpdateMessage
 from repro.bgp.wire import encode_message
 from repro.mrt.records import (
     Bgp4mpMessage,
@@ -73,7 +73,7 @@ class MRTWriter:
         local_asn: int,
         peer_address: str,
         local_address: str,
-        message: BGPMessage,
+        message: UpdateMessage,
     ) -> None:
         """Record-object-free fast path for streaming spill writers.
 

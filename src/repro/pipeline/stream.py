@@ -30,8 +30,9 @@ class ObservationStream(SinkBase):
     :meth:`push`, or hand any archived message with its session to
     :meth:`emit` (:func:`replay_mrt` does so for MRT records); every
     resulting observation is forwarded to *downstream* in arrival
-    order.  Non-UPDATE messages are counted and dropped, exactly as
-    the batch helpers do.
+    order.  An archived message of another type (the decoder hands
+    its :class:`~repro.bgp.constants.MessageType` instead of a
+    message object) is counted and dropped, as the batch helpers do.
     """
 
     def __init__(self, downstream: "Sink"):

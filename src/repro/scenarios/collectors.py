@@ -18,7 +18,9 @@ The proxy is the run's one §5 classification point: it types each
 observation once and hands that type, with the observation, to every
 collector that observes.  The classifier's own tally is the one set of
 type counts: the collectors that report it share that object instead
-of counting a copy.
+of counting a copy.  Community prevalence is counted the same way:
+once per run, in one :class:`CommunityPrevalence` shared by every
+collector that reports it.
 
 A collector implements whichever hooks it cares about; unused hooks
 are no-ops, so a `"table2"` collector silently collects nothing on a
@@ -67,6 +69,48 @@ class ScenarioContext:
         self.practices = dict(practices or {})
 
 
+class CommunityPrevalence:
+    """How many announcements a run saw and how many carried communities.
+
+    One tally per run: the proxy feeds it every observation once and
+    shares it with each collector that reports it.
+    """
+
+    __slots__ = ("announcements", "with_communities", "_classic_sets")
+
+    def __init__(self):
+        self.announcements = 0
+        self.with_communities = 0
+        # Distinct classic-community frozensets, folded into 16-bit
+        # values only when read: decode interning repeats the same
+        # frozensets, and a frozenset caches its hash.
+        self._classic_sets: set = set()
+
+    def observe(
+        self, observation: Observation, kind: "Optional[AnnouncementType]"
+    ) -> None:
+        """Count one observation (withdrawals are not counted)."""
+        if observation.is_withdrawal:
+            return
+        self.announcements += 1
+        communities = observation.communities
+        if not communities.is_empty():
+            self.with_communities += 1
+            self._classic_sets.add(communities.classic)
+
+    @property
+    def community_share(self) -> float:
+        """Share of announcements that carry communities."""
+        if not self.announcements:
+            return 0.0
+        return self.with_communities / self.announcements
+
+    def unique_16bit_communities(self) -> int:
+        """Distinct classic community values seen."""
+        # Community is an int subclass: the union counts raw values.
+        return len(frozenset().union(*self._classic_sets))
+
+
 class MetricCollector:
     """Base collector: subclass and override the hooks you need."""
 
@@ -82,6 +126,13 @@ class MetricCollector:
         The proxy calls this once, before any event, with the tally its
         single classifier keeps.  A collector that reports those counts
         keeps the object instead of tallying a copy in :meth:`observe`.
+        """
+
+    def share_prevalence(self, prevalence: CommunityPrevalence) -> None:
+        """Receive the run's one :class:`CommunityPrevalence`.
+
+        The proxy counts that tally once per observation, and only when
+        an attached collector overrides this hook.
         """
 
     def observe(
@@ -118,11 +169,22 @@ class CollectorProxy:
         self._classifier = UpdateClassifier()
         for collector in self.collectors:
             collector.share_type_counts(self._classifier.counts)
-        self._observers = [
+        self._observers = []
+        sharing = [
+            collector
+            for collector in self.collectors
+            if _overrides(collector, "share_prevalence")
+        ]
+        if sharing:
+            prevalence = CommunityPrevalence()
+            for collector in sharing:
+                collector.share_prevalence(prevalence)
+            self._observers.append(prevalence.observe)
+        self._observers.extend(
             collector.observe
             for collector in self.collectors
-            if type(collector).observe is not MetricCollector.observe
-        ]
+            if _overrides(collector, "observe")
+        )
         #: Observations delivered so far (mid-run progress indicator).
         self.observed = 0
 
@@ -152,6 +214,10 @@ class CollectorProxy:
 
     def close(self) -> None:
         """Sink hook; the engine calls finish() explicitly."""
+
+
+def _overrides(collector: MetricCollector, hook: str) -> bool:
+    return getattr(type(collector), hook) is not getattr(MetricCollector, hook)
 
 
 # ----------------------------------------------------------------------
@@ -249,41 +315,20 @@ class CommunityPrevalenceCollector(MetricCollector):
     name = "community_prevalence"
 
     def __init__(self):
-        self._announcements = 0
-        self._with_communities = 0
-        # Distinct classic-community frozensets, folded into 16-bit
-        # values only when read: decode interning repeats the same
-        # frozensets, and a frozenset caches its hash.
-        self._classic_sets: set = set()
+        self._prevalence = CommunityPrevalence()
 
-    def observe(
-        self, observation: Observation, kind: "Optional[AnnouncementType]"
-    ) -> None:
-        if not observation.is_withdrawal:
-            self._count_announcement(observation)
-
-    def _count_announcement(self, observation: Observation) -> None:
-        self._announcements += 1
-        communities = observation.communities
-        if not communities.is_empty():
-            self._with_communities += 1
-            self._classic_sets.add(communities.classic)
-
-    def _unique_16bit(self) -> frozenset:
-        # Community is an int subclass: the union counts raw values.
-        return frozenset().union(*self._classic_sets)
+    def share_prevalence(self, prevalence: CommunityPrevalence) -> None:
+        self._prevalence = prevalence
 
     def finish(self) -> dict:
-        share = (
-            self._with_communities / self._announcements
-            if self._announcements
-            else 0.0
-        )
+        prevalence = self._prevalence
         return {
-            "announcements": self._announcements,
-            "with_communities": self._with_communities,
-            "community_share": share,
-            "unique_16bit_communities": len(self._unique_16bit()),
+            "announcements": prevalence.announcements,
+            "with_communities": prevalence.with_communities,
+            "community_share": prevalence.community_share,
+            "unique_16bit_communities": (
+                prevalence.unique_16bit_communities()
+            ),
         }
 
 
@@ -295,7 +340,7 @@ class Table1Collector(CommunityPrevalenceCollector):
     interned objects the decoder hands out — so memory tracks distinct
     entities rather than feed length.  Peers, ASes and the IPv4/IPv6
     split are derived from them when read.  The community columns are
-    the inherited prevalence counts.
+    the run's shared prevalence counts.
     """
 
     name = "table1"
@@ -314,26 +359,27 @@ class Table1Collector(CommunityPrevalenceCollector):
         self._prefixes.add(observation.prefix)
         if observation.is_withdrawal:
             self._withdrawals += 1
-            return
-        self._count_announcement(observation)
-        if observation.as_path is not None:
+        elif observation.as_path is not None:
             self._paths.add(observation.as_path)
 
     def finish(self) -> dict:
         ipv4 = sum(1 for prefix in self._prefixes if prefix.version == 4)
         ases = {int(asn) for path in self._paths for asn in path.asns()}
+        prevalence = self._prevalence
         return {
             "ipv4_prefixes": ipv4,
             "ipv6_prefixes": len(self._prefixes) - ipv4,
             "ases": len(ases),
             "sessions": len(self._sessions),
             "peers": len({session.peer_asn for session in self._sessions}),
-            "announcements": self._announcements,
-            "with_communities": self._with_communities,
-            "unique_16bit_communities": len(self._unique_16bit()),
+            "announcements": prevalence.announcements,
+            "with_communities": prevalence.with_communities,
+            "unique_16bit_communities": (
+                prevalence.unique_16bit_communities()
+            ),
             "unique_as_paths": len(self._paths),
             "withdrawals": self._withdrawals,
-            "community_share": super().finish()["community_share"],
+            "community_share": prevalence.community_share,
         }
 
 

@@ -20,7 +20,7 @@ Internet scenarios feed the metric collectors *live*: an
 network is even built, so metrics accumulate while the simulation runs
 instead of after it, and ``archive_policy=mrt-spill`` keeps collector
 memory bounded.  A run's progress is visible as heartbeats every N
-observations, delivered to a :class:`RunJournal` and/or an
+observations, delivered to the run's journal and/or an
 ``on_heartbeat`` callable.
 
 Every run executes under :class:`paused_gc`: the cyclic collector is
@@ -175,20 +175,34 @@ class _MetricsPump(SinkBase):
             self._heartbeat(count)
 
 
+def check_heartbeat_every(heartbeat_every: "Optional[int]") -> None:
+    """Reject a heartbeat cadence below one observation.
+
+    ``None`` means the default cadence.
+    """
+    if heartbeat_every is not None and heartbeat_every < 1:
+        raise ValueError(
+            f"heartbeat_every must be at least 1, got {heartbeat_every}"
+        )
+
+
 def run_scenario(
     spec: ScenarioSpec,
     *,
-    journal: "Optional[RunJournal]" = None,
+    journal_path: "Optional[str]" = None,
     heartbeat_every: "Optional[int]" = None,
     on_heartbeat: "Optional[HeartbeatHook]" = None,
 ) -> ScenarioResult:
     """Validate and execute one scenario.
 
-    A *journal* receives heartbeat lines every *heartbeat_every*
-    observations (and *on_heartbeat*, if given, the same payloads
-    in-process).  Heartbeats count observations, so they apply to the
-    streaming kinds (internet, mrt); lab scenarios deliver one event
-    per experiment cell and send none.
+    With a *journal_path* the run appends its JSONL journal there: a
+    ``start`` line, heartbeat lines every *heartbeat_every*
+    observations, then ``finish``, or ``fail`` with the error when the
+    run raises.  *on_heartbeat*, if given, receives the same heartbeat
+    payloads in-process.  Heartbeats count observations, so they apply
+    to the streaming kinds (internet, mrt); lab scenarios deliver one
+    event per experiment cell and send none.  A *heartbeat_every*
+    below 1 raises :class:`ValueError` before anything is written.
 
     When the metrics registry is enabled
     (:func:`repro.obs.set_metrics_enabled`), the run starts from a
@@ -196,6 +210,30 @@ def run_scenario(
     ``metrics_report`` describing exactly this run.  The run executes
     under :class:`paused_gc`.
     """
+    check_heartbeat_every(heartbeat_every)
+    if journal_path is None:
+        return _run(spec, None, heartbeat_every, on_heartbeat)
+    journal = RunJournal(journal_path)
+    journal.write("start", name=spec.name)
+    try:
+        result = _run(spec, journal, heartbeat_every, on_heartbeat)
+    except BaseException as exc:
+        # Every started run ends its journal, so a journal reader
+        # never sees a run that began and never finished.
+        journal.write("fail", error=str(exc))
+        journal.close()
+        raise
+    journal.write("finish")
+    journal.close()
+    return result
+
+
+def _run(
+    spec: ScenarioSpec,
+    journal: "Optional[RunJournal]",
+    heartbeat_every: "Optional[int]",
+    on_heartbeat: "Optional[HeartbeatHook]",
+) -> ScenarioResult:
     spec.validate()
     with paused_gc():
         instrumented = obs_metrics.metrics_enabled()
@@ -269,24 +307,11 @@ def run_scenario_json(
       to *journal_path* (the sweep runner points this at the cell's
       journal next to the cache manifest).
     """
-    spec = spec_from_json(spec_json)
-    journal: "Optional[RunJournal]" = None
-    if journal_path is not None:
-        journal = RunJournal(journal_path)
-        journal.write("start", name=spec.name)
-    try:
-        result = run_scenario(spec, journal=journal)
-    except BaseException as exc:
-        if journal is not None:
-            journal.write("fail", error=str(exc))
-            journal.close()
-        raise
+    result = run_scenario(
+        spec_from_json(spec_json), journal_path=journal_path
+    )
     result.metrics_report = {}
-    payload = result_to_json(result)
-    if journal is not None:
-        journal.write("finish")
-        journal.close()
-    return payload
+    return result_to_json(result)
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,7 @@ one of two :mod:`repro.pipeline.sinks` backends selected by
 
 * ``full`` — keep everything in memory (the classic behavior);
 * ``mrt-spill`` — nothing retained in RAM; the archive streams to an
-  MRT file on disk and is replayable through :meth:`replay`.
+  MRT file on disk and is replayable through :meth:`to_bgp4mp`.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import io
 import zlib
 from typing import BinaryIO, Iterator, List, NamedTuple, Optional
 
-from repro.bgp.message import BGPMessage, UpdateMessage
+from repro.bgp.message import UpdateMessage
 from repro.mrt.records import Bgp4mpMessage
 from repro.mrt.writer import MRTWriter
 from repro.netbase.asn import ASN
@@ -47,12 +47,7 @@ class CollectedMessage(NamedTuple):
     collector: str
     peer_asn: ASN
     peer_address: str
-    message: BGPMessage
-
-    @property
-    def is_update(self) -> bool:
-        """True when the message is an UPDATE."""
-        return isinstance(self.message, UpdateMessage)
+    message: UpdateMessage
 
 
 class RouteCollector:
@@ -111,12 +106,12 @@ class RouteCollector:
         """Register a collector session."""
         self._sessions.append(session)
 
-    def receive(self, session: BGPSession, message: BGPMessage) -> None:
+    def receive(self, session: BGPSession, message: UpdateMessage) -> None:
         """Archive an inbound message."""
         self.receive_batch(session, [message])
 
     def receive_batch(
-        self, session: BGPSession, messages: "List[BGPMessage]"
+        self, session: BGPSession, messages: "List[UpdateMessage]"
     ) -> None:
         """Archive a coalesced burst of inbound messages in order."""
         timestamp = self._network.queue.now
@@ -163,7 +158,7 @@ class RouteCollector:
         """Retained messages in arrival order (read-only, no copy).
 
         Under ``full`` this is every message ever heard; under
-        ``mrt-spill`` it is empty — use :meth:`replay` to stream the
+        ``mrt-spill`` it is empty — use :meth:`to_bgp4mp` to stream the
         on-disk archive instead.
         """
         return self._archive.retained
@@ -179,10 +174,6 @@ class RouteCollector:
         if self._spills:
             return self._archive.path
         return None
-
-    def updates(self) -> Iterator[CollectedMessage]:
-        """Retained records that carry an UPDATE message."""
-        return (record for record in self._archive.retained if record.is_update)
 
     def clear(self) -> int:
         """Drop the archive (between experiment phases)."""
@@ -220,10 +211,6 @@ class RouteCollector:
             return
         for record in self._archive.retained:
             yield self._to_bgp4mp_record(record)
-
-    def replay(self) -> Iterator[Bgp4mpMessage]:
-        """Alias of :meth:`to_bgp4mp` that reads better for sources."""
-        return self.to_bgp4mp()
 
     def dump_mrt(
         self,

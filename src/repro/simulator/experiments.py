@@ -243,33 +243,26 @@ class LabTopology:
         pre_collector = self.c1.message_count()
 
         def wire_tap(timestamp: float, sender, message) -> None:
-            if isinstance(message, UpdateMessage):
-                result.x1_y1_messages.append(
-                    CapturedMessage.from_update(
-                        timestamp, sender.name, message
-                    )
-                )
+            result.x1_y1_messages.append(
+                CapturedMessage.from_update(timestamp, sender.name, message)
+            )
 
         self.session_x1_y1.taps.append(wire_tap)
         self.link_y1_y2.fail()
         self.network.converge()
         for record in self.c1.records[pre_collector:]:
-            if isinstance(record.message, UpdateMessage):
-                result.collector_messages.append(
-                    CapturedMessage.from_update(
-                        record.timestamp, "X1", record.message
-                    )
+            result.collector_messages.append(
+                CapturedMessage.from_update(
+                    record.timestamp, "X1", record.message
                 )
+            )
         return result
 
     def best_path_at_collector(self) -> Optional[str]:
         """The AS path of the last announcement C1 received."""
         last = None
         for record in self.c1.records:
-            if (
-                isinstance(record.message, UpdateMessage)
-                and record.message.is_announcement
-            ):
+            if record.message.is_announcement:
                 last = str(record.message.attributes.as_path)
         return last
 
@@ -277,10 +270,7 @@ class LabTopology:
         """Communities on the last announcement C1 received."""
         last = None
         for record in self.c1.records:
-            if (
-                isinstance(record.message, UpdateMessage)
-                and record.message.is_announcement
-            ):
+            if record.message.is_announcement:
                 last = record.message.attributes.communities
         return last
 

@@ -25,7 +25,7 @@ from typing import Dict, Iterable, List, Optional, Set
 
 from repro.bgp.attributes import PathAttributes
 from repro.bgp.constants import OriginCode
-from repro.bgp.message import BGPMessage, UpdateMessage
+from repro.bgp.message import UpdateMessage
 from repro.netbase.asn import ASN
 from repro.netbase.prefix import Prefix
 from repro.policy.actions import honor_no_export
@@ -181,16 +181,14 @@ class Router:
     # ------------------------------------------------------------------
     # message handling
     # ------------------------------------------------------------------
-    def receive(self, session: BGPSession, message: BGPMessage) -> None:
-        """Process one inbound message from *session*."""
-        if not isinstance(message, UpdateMessage):
-            return
+    def receive(self, session: BGPSession, message: UpdateMessage) -> None:
+        """Process one inbound UPDATE from *session*."""
         self._process_update(
             session, self._adj_rib_in[session.session_id], message
         )
 
     def receive_batch(
-        self, session: BGPSession, messages: "list[BGPMessage]"
+        self, session: BGPSession, messages: "list[UpdateMessage]"
     ) -> None:
         """Process a coalesced burst of inbound messages from *session*.
 
@@ -201,8 +199,7 @@ class Router:
         """
         rib_in = self._adj_rib_in[session.session_id]
         for message in messages:
-            if isinstance(message, UpdateMessage):
-                self._process_update(session, rib_in, message)
+            self._process_update(session, rib_in, message)
 
     def _process_update(
         self,

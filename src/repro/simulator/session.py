@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from typing import TYPE_CHECKING, Optional
 
-from repro.bgp.message import BGPMessage
+from repro.bgp.message import UpdateMessage
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.simulator.network import Network
@@ -30,7 +30,7 @@ class _DeliveryBatch:
 
     __slots__ = ("fire_at", "messages")
 
-    def __init__(self, fire_at: float, messages: "list[BGPMessage]"):
+    def __init__(self, fire_at: float, messages: "list[UpdateMessage]"):
         self.fire_at = fire_at
         self.messages = messages
 
@@ -121,7 +121,7 @@ class BGPSession:
     # ------------------------------------------------------------------
     # message transport
     # ------------------------------------------------------------------
-    def send(self, sender, message: BGPMessage) -> bool:
+    def send(self, sender, message: UpdateMessage) -> bool:
         """Deliver *message* to the opposite endpoint after the delay.
 
         Returns False (dropping the message) when the session is down —
@@ -173,7 +173,7 @@ class BGPSession:
             )
         return True
 
-    def _deliver(self, receiver, message: BGPMessage) -> None:
+    def _deliver(self, receiver, message: UpdateMessage) -> None:
         if not self.established:
             return
         receiver.receive(self, message)

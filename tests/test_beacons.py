@@ -114,10 +114,10 @@ class TestBeaconOrigin:
         network.converge()
 
         announcements = sum(
-            1 for r in collector.updates() if r.message.is_announcement
+            1 for r in collector.records if r.message.is_announcement
         )
         withdrawals = sum(
-            1 for r in collector.updates() if r.message.is_withdrawal
+            1 for r in collector.records if r.message.is_withdrawal
         )
         assert announcements == 6
         assert withdrawals == 6

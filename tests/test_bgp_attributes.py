@@ -6,9 +6,6 @@ from hypothesis import given, settings, strategies as st
 from repro.bgp import (
     ASPath,
     CommunitySet,
-    KeepaliveMessage,
-    NotificationMessage,
-    OpenMessage,
     Origin,
     PathAttributes,
     UpdateMessage,
@@ -303,30 +300,3 @@ class TestUpdateMessage:
         second = UpdateMessage.announce(Prefix("10.0.0.0/8"), make_attrs())
         assert first == second
         assert hash(first) == hash(second)
-
-
-class TestOtherMessages:
-    def test_open_fields(self):
-        message = OpenMessage(65000, "192.0.2.1", 180)
-        assert message.asn == ASN(65000)
-        assert message.hold_time == 180
-        assert message.version == 4
-
-    def test_open_rejects_forbidden_hold_time(self):
-        with pytest.raises(MessageError):
-            OpenMessage(65000, "192.0.2.1", 1)
-        with pytest.raises(MessageError):
-            OpenMessage(65000, "192.0.2.1", 70000)
-
-    def test_keepalive_equality(self):
-        assert KeepaliveMessage() == KeepaliveMessage()
-
-    def test_notification(self):
-        message = NotificationMessage(6, 2, b"bye")
-        assert message.code == 6
-        assert message.subcode == 2
-        assert message.data == b"bye"
-
-    def test_notification_rejects_bad_subcode(self):
-        with pytest.raises(MessageError):
-            NotificationMessage(6, 300)

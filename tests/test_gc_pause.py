@@ -20,7 +20,6 @@ import pytest
 
 from repro import cli
 from repro.bgp import wire
-from repro.mrt import records as mrt_records
 from repro.netbase import prefix as prefix_module
 from repro.scenarios import engine, get_scenario, run_scenario
 from repro.scenarios.spec import MrtSpec, ScenarioSpec
@@ -68,7 +67,6 @@ def _clear_decode_memos():
     for toggle in (
         wire.set_decode_memo,
         prefix_module.set_nlri_memo,
-        mrt_records.set_address_memo,
     ):
         toggle(toggle(True))  # each call clears; the second restores
 

@@ -5,14 +5,16 @@ import struct
 
 import pytest
 
+from repro.analysis import observations_from_mrt
 from repro.bgp import (
     ASPath,
     CommunitySet,
-    KeepaliveMessage,
+    MessageType,
     PathAttributes,
     UpdateMessage,
 )
-from repro.mrt import Bgp4mpMessage, MRTError, MRTReader, MRTWriter, read_updates
+from repro.bgp.constants import MARKER
+from repro.mrt import Bgp4mpMessage, MRTError, MRTReader, MRTWriter
 from repro.mrt.records import (
     MRTHeader,
     MRTType,
@@ -105,14 +107,22 @@ class TestWriterReader:
         writer.write_all([sample_record(), sample_record()])
         assert writer.record_count == 2
 
-    def test_read_updates_filters_keepalives(self):
-        records = [
-            sample_record(),
-            sample_record(message=KeepaliveMessage()),
-        ]
-        data = dump_records(records)
-        updates = list(read_updates(io.BytesIO(data)))
-        assert len(updates) == 1
+    def test_reader_yields_keepalive_as_its_type(self):
+        data = dump_records([sample_record()], extended_timestamps=False)
+        # The same session envelope around a header-only KEEPALIVE.
+        envelope = data[12:32]
+        keepalive = MARKER + struct.pack("!HB", 19, 4)
+        data += (
+            struct.pack("!IHHI", 1584230401, 16, 4, 20 + len(keepalive))
+            + envelope
+            + keepalive
+        )
+        records = list(MRTReader(io.BytesIO(data)))
+        assert records[0].message == sample_update()
+        assert records[1].message is MessageType.KEEPALIVE
+        assert records[1].peer_address == "192.0.2.2"
+        # The analysis counts only the UPDATE's one prefix.
+        assert len(list(observations_from_mrt(records, "rrc00"))) == 1
 
     def test_skips_unknown_record_types(self):
         # Prepend a TABLE_DUMP_V2-typed record the reader cannot model.

@@ -86,6 +86,28 @@ class TestRunJournalAndProgress:
         assert "heartbeat" in events
         assert events[-1] == "finish"
 
+    @pytest.mark.parametrize("cadence", ["0", "-3"])
+    def test_bad_heartbeat_cadence_exits_2(self, cadence, tmp_path, capsys):
+        journal = tmp_path / "run.jsonl"
+        code = main(
+            [
+                "scenario",
+                "run",
+                "topology-tiny",
+                "--progress",
+                "--journal",
+                str(journal),
+                "--heartbeat-every",
+                cadence,
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("bad run arguments: ")
+        assert captured.err.count("\n") == 1
+        assert not journal.exists()
+
     def test_json_stdout_stays_parseable_with_progress(self, capsys):
         # Satellite guarantee: piping --json through json.loads works
         # even with heartbeats enabled, because progress is stderr-only.

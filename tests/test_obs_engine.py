@@ -150,6 +150,16 @@ class TestWorkerPayloads:
         events = [event["event"] for event in read_journal(journal_path)]
         assert events == ["start", "fail"]
 
+    def test_run_scenario_writes_its_journal(self, tmp_path):
+        journal_path = str(tmp_path / "run.jsonl")
+        run_scenario(
+            tiny_spec(), journal_path=journal_path, heartbeat_every=100
+        )
+        events = [event["event"] for event in read_journal(journal_path)]
+        assert events[0] == "start"
+        assert set(events[1:-1]) == {"heartbeat"}
+        assert events[-1] == "finish"
+
 
 class TestHeartbeats:
     def test_on_heartbeat_fires_at_cadence(self):
@@ -171,6 +181,20 @@ class TestHeartbeats:
         # outright (heartbeat_every alone has nowhere to deliver).
         result = run_scenario(tiny_spec(), heartbeat_every=50)
         assert result.metrics_report == {}
+
+    @pytest.mark.parametrize("cadence", [0, -3])
+    def test_cadence_below_one_is_rejected(self, cadence, tmp_path):
+        journal_path = tmp_path / "run.jsonl"
+        payloads = []
+        with pytest.raises(ValueError, match="heartbeat_every"):
+            run_scenario(
+                tiny_spec(),
+                journal_path=str(journal_path),
+                heartbeat_every=cadence,
+                on_heartbeat=payloads.append,
+            )
+        assert payloads == []
+        assert not journal_path.exists()
 
 
 class TestSerializeRoundTrip:

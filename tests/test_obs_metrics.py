@@ -192,7 +192,6 @@ class TestMemoStats:
             "wire.large_set",
             "wire.addr4",
             "prefix.nlri",
-            "mrt.address",
             "mrt.envelope",
             "cleaning.path_info",
             "cleaning.peer_info",

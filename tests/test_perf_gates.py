@@ -30,7 +30,6 @@ import pytest
 from repro.analysis.classify import TYPE_ORDER, UpdateClassifier
 from repro.bgp import wire
 from repro.bgp.wire import encode_message
-from repro.mrt import records as mrt_records
 from repro.mrt.reader import MRTReader
 from repro.netbase import prefix as prefix_module
 from repro.obs import metrics as obs_metrics
@@ -65,7 +64,6 @@ MIN_SPILL_RATIO = 0.5
 def _set_decode_memos(enabled: bool) -> None:
     wire.set_decode_memo(enabled)
     prefix_module.set_nlri_memo(enabled)
-    mrt_records.set_address_memo(enabled)
 
 
 # ----------------------------------------------------------------------

@@ -68,11 +68,9 @@ def all_memos_on():
     """Reset every decode memo before and after (tests mutate them)."""
     wire.set_decode_memo(True)
     prefix_module.set_nlri_memo(True)
-    mrt_records.set_address_memo(True)
     yield
     wire.set_decode_memo(True)
     prefix_module.set_nlri_memo(True)
-    mrt_records.set_address_memo(True)
 
 
 def et_record_bytes(length: int, subtype: int = 4) -> bytes:
@@ -265,7 +263,6 @@ class TestDecodeMemo:
         fast = list(MRTReader(io.BytesIO(data)))
         wire.set_decode_memo(False)
         prefix_module.set_nlri_memo(False)
-        mrt_records.set_address_memo(False)
         naive = list(MRTReader(io.BytesIO(data)))
         assert len(fast) == len(naive)
         for cached, plain in zip(fast, naive):
@@ -303,7 +300,6 @@ class TestDecodeMemo:
         fast = dict(classify())
         wire.set_decode_memo(False)
         prefix_module.set_nlri_memo(False)
-        mrt_records.set_address_memo(False)
         assert dict(classify()) == fast
 
     def test_attr_block_memo_is_bounded(self, all_memos_on, monkeypatch):
@@ -322,12 +318,6 @@ class TestDecodeMemo:
         for index in range(50):
             Prefix.from_nlri(bytes([24, 10, index, 0]), 4)
         assert prefix_module.nlri_memo_size() <= 8
-
-    def test_address_memo_is_bounded(self, all_memos_on, monkeypatch):
-        monkeypatch.setattr(mrt_records, "_ADDRESS_MEMO_LIMIT", 8)
-        for index in range(50):
-            mrt_records.unpack_address(1, bytes([192, 0, 2, index]))
-        assert mrt_records.address_memo_size() <= 8
 
     def test_nlri_memo_round_trip_identity(self, all_memos_on):
         wire_bytes = Prefix("84.205.64.0/24").to_nlri()

@@ -44,6 +44,7 @@ from repro.scenarios import (
     make_collectors,
     run_scenario,
 )
+from repro.scenarios.collectors import CommunityPrevalence
 from repro.scenarios.registry import INTERNET_COLLECTORS, PAPER_COLLECTORS
 from repro.simulator.damping import RouteDamper
 from repro.workloads import CommunityPractice
@@ -324,6 +325,60 @@ class TestOnePass:
         for collector in proxy.collectors:
             for name, value in vars(collector).items():
                 assert not _holds_observations(value), (collector.name, name)
+
+
+    def test_one_prevalence_count_per_observation(
+        self, tiny_spill_archive, monkeypatch
+    ):
+        calls = []
+        original_observe = CommunityPrevalence.observe
+
+        def counting_observe(self, observation, kind):
+            calls.append(1)
+            return original_observe(self, observation, kind)
+
+        monkeypatch.setattr(CommunityPrevalence, "observe", counting_observe)
+        base = get_scenario("mrt-replay")
+        assert {"community_prevalence", "table1"} <= set(base.collectors)
+        result = run_scenario(
+            replace(base, mrt=replace(base.mrt, path=tiny_spill_archive))
+        )
+        assert len(calls) == result.reader_stats["observations"]
+        announcements = result.metrics["update_counts"]["announcements"]
+        assert result.metrics["table1"]["announcements"] == announcements
+        assert (
+            result.metrics["community_prevalence"]["announcements"]
+            == announcements
+        )
+
+    @pytest.mark.parametrize(
+        "names",
+        [("table1",), ("community_prevalence",), ("update_counts",)],
+    )
+    def test_prevalence_counted_only_when_reported(self, names, monkeypatch):
+        calls = []
+        original_observe = CommunityPrevalence.observe
+
+        def counting_observe(self, observation, kind):
+            calls.append(1)
+            return original_observe(self, observation, kind)
+
+        monkeypatch.setattr(CommunityPrevalence, "observe", counting_observe)
+        observations = random_stream(5)
+        reference = build_table1(observations)
+        metrics = run_proxy(names, observations).finish()
+        reported = set(names) & {"table1", "community_prevalence"}
+        assert len(calls) == (len(observations) if reported else 0)
+        for name in reported:
+            collected = metrics[name]
+            assert collected["announcements"] == reference.announcements
+            assert (
+                collected["with_communities"] == reference.with_communities
+            )
+            assert collected["unique_16bit_communities"] == (
+                reference.unique_16bit_communities
+            )
+            assert collected["community_share"] == reference.community_share
 
 
 def _reference_pick(streams, kind):

@@ -2,9 +2,14 @@
 
 import pytest
 
-from repro.netbase import SimClock
+from repro.bgp import UpdateMessage
+from repro.netbase import Prefix, SimClock
 from repro.simulator import EventQueue, Network
 from repro.simulator.session import SessionKind
+
+#: A message for transport tests: the receiving router withdraws a
+#: prefix it never learned, which changes nothing.
+WITHDRAWAL = UpdateMessage.withdraw(Prefix("192.0.2.0/24"))
 
 
 class TestEventQueue:
@@ -371,17 +376,15 @@ class TestSessions:
 
     def test_send_is_delayed(self):
         session = self.network.connect(self.r1, self.r2, delay=0.5)
-        from repro.bgp import KeepaliveMessage
 
-        assert session.send(self.r1, KeepaliveMessage())
+        assert session.send(self.r1, WITHDRAWAL)
         assert self.network.queue.pending == 1
 
     def test_down_session_drops_messages(self):
         session = self.network.connect(self.r1, self.r2)
         session.bring_down()
-        from repro.bgp import KeepaliveMessage
 
-        assert not session.send(self.r1, KeepaliveMessage())
+        assert not session.send(self.r1, WITHDRAWAL)
 
     def test_taps_observe_messages(self):
         session = self.network.connect(self.r1, self.r2)
@@ -389,9 +392,7 @@ class TestSessions:
         session.taps.append(
             lambda when, sender, message: captured.append(sender.name)
         )
-        from repro.bgp import KeepaliveMessage
-
-        session.send(self.r1, KeepaliveMessage())
+        session.send(self.r1, WITHDRAWAL)
         assert captured == ["r1"]
 
     def test_duplicate_node_names_rejected(self):

@@ -34,7 +34,7 @@ class TestBasicPropagation:
         origin.originate(PREFIX)
         network.converge()
         announcements = [
-            r for r in collector.updates() if r.message.is_announcement
+            r for r in collector.records if r.message.is_announcement
         ]
         assert len(announcements) == 1
         attrs = announcements[0].message.attributes
@@ -47,7 +47,7 @@ class TestBasicPropagation:
         origin.withdraw_origination(PREFIX)
         network.converge()
         withdrawals = [
-            r for r in collector.updates() if r.message.is_withdrawal
+            r for r in collector.records if r.message.is_withdrawal
         ]
         assert len(withdrawals) == 1
         assert middle.loc_rib.get(PREFIX) is None
@@ -176,7 +176,7 @@ class TestSessionChurn:
         network.converge()
         announcements = [
             r.message.attributes
-            for r in collector.updates()
+            for r in collector.records
             if r.message.is_announcement
         ]
         assert len(announcements) == 2
