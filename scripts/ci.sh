@@ -31,6 +31,11 @@ echo
 echo "== smoke: scenario engine =="
 python -m repro scenario list >/dev/null
 python -m repro scenario run topology-tiny
+# A heartbeat cadence with no journal and no progress lines to feed is
+# a usage error: one "bad run arguments" line and exit 2.
+STATUS=0
+python -m repro scenario run topology-tiny --heartbeat-every 100 || STATUS=$?
+[ "$STATUS" -eq 2 ] || { echo "lone --heartbeat-every exited $STATUS" >&2; exit 1; }
 
 echo
 echo "== examples: every script runs to a zero exit =="

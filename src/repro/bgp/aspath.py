@@ -12,11 +12,17 @@ relationships between consecutive AS paths on a stream:
 :meth:`without_prepending` and :meth:`is_prepend_variant_of` alongside
 the usual wire encoding with AS_SEQUENCE / AS_SET segments (RFC 4271
 §4.3, 4-byte ASNs per RFC 6793).
+
+A :class:`PathSegment` is the tuple ``(kind, asns)``, and a path keeps
+its segments in a tuple, so path equality and hashing run in C for
+sequence segments.  Set segments are the private subclass
+:class:`_SetSegment`, whose equality and hash ignore member order.
 """
 
 from __future__ import annotations
 
 import enum
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from repro.bgp.errors import AttributeError_
@@ -32,59 +38,82 @@ class SegmentType(enum.IntEnum):
     AS_CONFED_SET = 4
 
 
-class PathSegment:
-    """One AS_PATH segment: an ordered sequence or an unordered set."""
+class PathSegment(tuple):
+    """One AS_PATH segment: an ordered sequence or an unordered set.
 
-    __slots__ = ("_kind", "_asns")
+    A segment is the tuple ``(kind, asns)``: a :class:`SegmentType` and
+    the member ASNs in wire order.  Sequence segments use tuple's own
+    ``==`` and ``hash`` (equal to ``hash((kind, asns))``), so comparing
+    two paths — a tuple of segments each — runs entirely in C.
+    ``PathSegment(kind, asns)`` returns the private subclass
+    :class:`_SetSegment` for AS_SET and AS_CONFED_SET, whose equality
+    and hash ignore member order.
+    """
 
-    def __init__(self, kind: SegmentType, asns: Iterable[int]):
-        self._kind = SegmentType(kind)
-        self._asns = tuple(ASN(asn) for asn in asns)
-        if not self._asns:
+    __slots__ = ()
+
+    #: True for AS_SET / AS_CONFED_SET segments.
+    is_set = False
+
+    def __new__(cls, kind: SegmentType, asns: Iterable[int]):
+        kind = SegmentType(kind)
+        members = tuple(map(ASN, asns))
+        if not members:
             raise AttributeError_("empty AS_PATH segment")
-        if len(self._asns) > 255:
+        if len(members) > 255:
             raise AttributeError_("AS_PATH segment longer than 255 ASNs")
+        if kind in _SET_KINDS:
+            cls = _SetSegment
+        return tuple.__new__(cls, (kind, members))
 
-    @property
-    def kind(self) -> SegmentType:
-        """Segment type (sequence or set)."""
-        return self._kind
+    kind = property(itemgetter(0), doc="Segment type (sequence or set).")
+    asns = property(itemgetter(1), doc="The member ASNs in wire order.")
 
-    @property
-    def asns(self) -> tuple:
-        """The member ASNs in wire order."""
-        return self._asns
-
-    @property
-    def is_set(self) -> bool:
-        """True for AS_SET / AS_CONFED_SET segments."""
-        return self._kind in (SegmentType.AS_SET, SegmentType.AS_CONFED_SET)
+    def __getnewargs__(self):
+        # Unpickle through __new__, which picks the class from the kind.
+        return tuple(self)
 
     def path_length_contribution(self) -> int:
         """RFC 4271 §9.1.2.2: a set counts as 1 hop, a sequence as N."""
-        return 1 if self.is_set else len(self._asns)
+        return len(self[1])
+
+    def __repr__(self) -> str:
+        return f"PathSegment({self[0].name}, {list(map(int, self[1]))})"
+
+    def __str__(self) -> str:
+        return " ".join(str(asn) for asn in self[1])
+
+
+class _SetSegment(PathSegment):
+    """An AS_SET or AS_CONFED_SET segment: members compare unordered."""
+
+    __slots__ = ()
+
+    is_set = True
+
+    def path_length_contribution(self) -> int:
+        return 1
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PathSegment):
             return NotImplemented
-        if self._kind != other._kind:
-            return False
-        if self.is_set:
-            return frozenset(self._asns) == frozenset(other._asns)
-        return self._asns == other._asns
+        return self[0] == other[0] and frozenset(self[1]) == frozenset(
+            other[1]
+        )
+
+    def __ne__(self, other: object) -> bool:
+        # Without this, tuple's own != would compare in member order.
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
 
     def __hash__(self) -> int:
-        members = frozenset(self._asns) if self.is_set else self._asns
-        return hash((self._kind, members))
-
-    def __repr__(self) -> str:
-        return f"PathSegment({self._kind.name}, {list(map(int, self._asns))})"
+        return hash((self[0], frozenset(self[1])))
 
     def __str__(self) -> str:
-        body = " ".join(str(asn) for asn in self._asns)
-        if self.is_set:
-            return "{" + body.replace(" ", ",") + "}"
-        return body
+        return "{" + ",".join(str(asn) for asn in self[1]) + "}"
+
+
+_SET_KINDS = frozenset((SegmentType.AS_SET, SegmentType.AS_CONFED_SET))
 
 
 class ASPath:
@@ -200,8 +229,14 @@ class ASPath:
         return len(self.asns())
 
     def contains(self, asn: int) -> bool:
-        """True when *asn* appears anywhere in the path (loop check)."""
-        return ASN(asn) in self.asns()
+        """True when *asn* appears anywhere in the path (loop check).
+
+        An ``int`` (an :class:`ASN` included) is looked up as it is;
+        any other notation is parsed as an :class:`ASN` first.
+        """
+        if not isinstance(asn, int):
+            asn = ASN(asn)
+        return asn in self.asns()
 
     # ------------------------------------------------------------------
     # derived paths

@@ -428,6 +428,17 @@ def _scenario_run(arguments) -> int:
     except ValueError as exc:
         print(f"bad run arguments: {exc}", file=sys.stderr)
         return 2
+    if arguments.heartbeat_every is not None and not (
+        arguments.journal or arguments.progress
+    ):
+        # Without a journal or progress lines a heartbeat has nowhere
+        # to go, and the cadence would be silently ignored.
+        print(
+            "bad run arguments: --heartbeat-every needs --journal or"
+            " --progress",
+            file=sys.stderr,
+        )
+        return 2
     try:
         spec, error = _load_run_spec(arguments)
         if error is not None:

@@ -32,14 +32,14 @@ class ObservationStream(SinkBase):
     resulting observation is forwarded to *downstream* in arrival
     order.  An archived message of another type (the decoder hands
     its :class:`~repro.bgp.constants.MessageType` instead of a
-    message object) is counted and dropped, as the batch helpers do.
+    message object) is counted in :attr:`messages_seen` and dropped,
+    as the batch helpers do.
     """
 
     def __init__(self, downstream: "Sink"):
         self.downstream = downstream
         self.messages_seen = 0
         self.observations_emitted = 0
-        self.skipped_non_updates = 0
         # SessionKey is immutable; reuse one instance per session so a
         # million-message stream does not allocate a million keys.
         self._session_cache: "Dict[tuple, SessionKey]" = {}
@@ -68,7 +68,6 @@ class ObservationStream(SinkBase):
         """One archived message of the session (collector, peer)."""
         self.messages_seen += 1
         if not isinstance(message, UpdateMessage):
-            self.skipped_non_updates += 1
             return
         cache_key = (collector, peer_asn, peer_address)
         session = self._session_cache.get(cache_key)

@@ -17,6 +17,14 @@ practice:
     ``prefer_oldest``, the oldest route first, then the router ID).
 8.  Lowest peer address.
 
+Steps 1-3 are one lexicographic key, :attr:`Route.rank`.  Steps 5-8 are
+another: one ``min`` over ``(source order, IGP cost, [age,] router-id
+key, peer-address key)``, whose first-of-equal pick is the route the
+four elimination rounds would keep.  Step 4 alone stays an elimination
+round between the two, because MED is not a total order: a route falls
+only to a rival from the same neighbor AS, so "beats" is not
+transitive across neighbors and no per-route key can express it.
+
 The process is deterministic: given the same candidate set it always
 returns the same winner, which the property-based tests exploit.
 """
@@ -26,9 +34,18 @@ from __future__ import annotations
 import ipaddress
 import zlib
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 from repro.rib.route import Route, RouteSource
+
+#: Step 5: locally originated before eBGP-learned before iBGP-learned.
+#: Local routes only meet learned ones at the originating router,
+#: where real tables let them win on weight.
+_SOURCE_ORDER = {
+    RouteSource.LOCAL: 0,
+    RouteSource.EBGP: 1,
+    RouteSource.IBGP: 2,
+}
 
 
 @dataclass(frozen=True)
@@ -48,6 +65,9 @@ class DecisionProcess:
 
     def __init__(self, config: "DecisionConfig | None" = None):
         self._config = config or DecisionConfig()
+        self._tail_key: "Callable[[Route], tuple]" = (
+            _oldest_tail_key if self._config.prefer_oldest else _tail_key
+        )
 
     @property
     def config(self) -> DecisionConfig:
@@ -79,35 +99,21 @@ class DecisionProcess:
         pool = [route for route in pool if route.rank == best_rank]
         if len(pool) == 1:
             return pool[0]
-        for step in (
-            self._filter_med,
-            self._filter_ebgp,
-            self._filter_igp_cost,
-        ):
-            pool = step(pool)
-            if len(pool) == 1:
-                return pool[0]
-        if self._config.prefer_oldest:
-            oldest = min(route.learned_at for route in pool)
-            pool = [r for r in pool if r.learned_at == oldest]
-            if len(pool) == 1:
-                return pool[0]
-        pool = self._filter_router_id(pool)
+        pool = self._filter_med(pool)
         if len(pool) == 1:
             return pool[0]
-        pool = self._filter_peer_address(pool)
-        return pool[0]
+        # Steps 5-8: min keeps the first of equal keys.
+        return min(pool, key=self._tail_key)
 
     # ------------------------------------------------------------------
-    # individual steps — each keeps only the surviving candidates
-    # (steps 1-3 are fused into one lexicographic pass in select())
+    # step 4 — keeps only the surviving candidates
     # ------------------------------------------------------------------
-    def _filter_med(self, pool: Sequence[Route]) -> "list[Route]":
+    def _filter_med(self, pool: "list[Route]") -> "list[Route]":
         meds = [route.effective_med for route in pool]
         lowest = min(meds)
         if lowest == max(meds):
             # Equal MEDs eliminate nobody, whichever routes compare.
-            return list(pool)
+            return pool
         if self._config.always_compare_med:
             return [r for r, med in zip(pool, meds) if med == lowest]
         # Standard semantics: eliminate a route only when a same-
@@ -127,37 +133,27 @@ class DecisionProcess:
             if neighbor is None or lowest_med[neighbor] >= med
         ]
 
-    @staticmethod
-    def _filter_ebgp(pool: Sequence[Route]) -> "list[Route]":
-        if any(route.source == RouteSource.EBGP for route in pool):
-            kept = [r for r in pool if r.source == RouteSource.EBGP]
-            # LOCAL routes rank above eBGP in real tables, but local
-            # routes only meet learned routes at the originating router
-            # where they always win on weight; model that here.
-            local = [r for r in pool if r.source == RouteSource.LOCAL]
-            return local or kept
-        local = [r for r in pool if r.source == RouteSource.LOCAL]
-        return local or list(pool)
 
-    @staticmethod
-    def _filter_igp_cost(pool: Sequence[Route]) -> "list[Route]":
-        best = min(route.igp_cost for route in pool)
-        return [r for r in pool if r.igp_cost == best]
+def _tail_key(route: Route) -> tuple:
+    """Steps 5-8 as one key, lower is better."""
+    return (
+        _SOURCE_ORDER[route.source],
+        route.igp_cost,
+        _router_id_key(route.peer_id),
+        _peer_address_key(route.peer_address),
+    )
 
-    @staticmethod
-    def _filter_router_id(pool: Sequence[Route]) -> "list[Route]":
-        keys = [_router_id_key(route.peer_id) for route in pool]
-        best = min(keys)
-        return [r for r, k in zip(pool, keys) if k == best]
 
-    @staticmethod
-    def _filter_peer_address(pool: Sequence[Route]) -> "list[Route]":
-        return [
-            min(
-                pool,
-                key=lambda route: _peer_address_key(route.peer_address),
-            )
-        ]
+def _oldest_tail_key(route: Route) -> tuple:
+    """Steps 5-8 with ``prefer_oldest``: the oldest route before the
+    router ID."""
+    return (
+        _SOURCE_ORDER[route.source],
+        route.igp_cost,
+        route.learned_at,
+        _router_id_key(route.peer_id),
+        _peer_address_key(route.peer_address),
+    )
 
 
 # ----------------------------------------------------------------------

@@ -32,6 +32,11 @@ class Route:
     """One candidate path for one prefix.
 
     Routes are immutable: a changed route is a new instance.
+
+    ``rank`` holds decision steps 1-3 as one key, lower is better:
+    ``(-LOCAL_PREF, AS-path length, ORIGIN)``.  The decision process
+    and the router's incremental reconsideration both order routes by
+    it, so it is filled once at construction and read as a plain slot.
     """
 
     __slots__ = (
@@ -44,7 +49,7 @@ class Route:
         "_igp_cost",
         "_learned_at",
         "_neighbor",
-        "_rank",
+        "rank",
     )
 
     def __init__(
@@ -67,7 +72,7 @@ class Route:
         self._peer_address = peer_address
         self._igp_cost = int(igp_cost)
         self._learned_at = float(learned_at)
-        self._rank: "tuple[int, int, int] | None" = None
+        self.rank = _rank(attributes)
 
     @classmethod
     def learned(
@@ -97,7 +102,7 @@ class Route:
         route._peer_address = peer_address
         route._igp_cost = igp_cost
         route._learned_at = learned_at
-        route._rank = None
+        route.rank = _rank(attributes)
         return route
 
     # ------------------------------------------------------------------
@@ -168,25 +173,6 @@ class Route:
             self._neighbor = self._attributes.as_path.first_asn
             return self._neighbor
 
-    @property
-    def rank(self) -> "tuple[int, int, int]":
-        """Decision steps 1-3 as one key, lower is better:
-        (-LOCAL_PREF, AS-path length, ORIGIN).
-
-        The decision process and the router's incremental
-        reconsideration both order routes by this key, so it lives in
-        one place.  Computed on first use, then cached.
-        """
-        rank = self._rank
-        if rank is None:
-            attributes = self._attributes
-            rank = self._rank = (
-                -self.effective_local_pref,
-                attributes.as_path.length(),
-                int(attributes.origin),
-            )
-        return rank
-
     # ------------------------------------------------------------------
     # comparison
     # ------------------------------------------------------------------
@@ -211,3 +197,13 @@ class Route:
             f"Route({self._prefix}, path='{self._attributes.as_path}',"
             f" source={self._source.value}, peer={self._peer_id})"
         )
+
+
+def _rank(attributes: PathAttributes) -> "tuple[int, int, int]":
+    """The :attr:`Route.rank` key of a route carrying *attributes*."""
+    local_pref = attributes.local_pref
+    return (
+        -(DEFAULT_LOCAL_PREF if local_pref is None else local_pref),
+        attributes.as_path.length(),
+        int(attributes.origin),
+    )

@@ -1,5 +1,8 @@
 """Unit tests for repro.bgp.aspath."""
 
+import pickle
+import sys
+
 import pytest
 
 from repro.bgp import ASPath, PathSegment, SegmentType
@@ -136,3 +139,104 @@ class TestSemantics:
 
     def test_len_counts_hops(self):
         assert len(ASPath.from_asns([1, 1, 2])) == 3
+
+
+class TestValueContract:
+    """Segments are ``(kind, asns)`` tuples with value semantics."""
+
+    def test_sequence_hash_is_the_tuple_hash(self):
+        segment = PathSegment(SegmentType.AS_SEQUENCE, [3, 1, 2])
+        members = (ASN(3), ASN(1), ASN(2))
+        assert hash(segment) == hash((SegmentType.AS_SEQUENCE, members))
+        confed = PathSegment(SegmentType.AS_CONFED_SEQUENCE, [7])
+        assert hash(confed) == hash(
+            (SegmentType.AS_CONFED_SEQUENCE, (ASN(7),))
+        )
+
+    @pytest.mark.parametrize(
+        "kind", [SegmentType.AS_SET, SegmentType.AS_CONFED_SET]
+    )
+    def test_set_segments_ignore_member_order(self, kind):
+        first = PathSegment(kind, [1, 2, 3])
+        second = PathSegment(kind, [3, 1, 2])
+        assert first == second
+        assert not first != second
+        assert hash(first) == hash(second)
+        assert first.is_set and first.path_length_contribution() == 1
+        assert first.asns == (ASN(1), ASN(2), ASN(3))  # wire order kept
+
+    def test_sequence_never_equals_a_set_of_the_same_members(self):
+        sequence = PathSegment(SegmentType.AS_SEQUENCE, [1, 2])
+        as_set = PathSegment(SegmentType.AS_SET, [1, 2])
+        assert sequence != as_set
+        assert as_set != sequence
+        assert not sequence == as_set
+        assert not as_set == sequence
+        assert ASPath((sequence,)) != ASPath((as_set,))
+
+    def test_accessors_keep_their_meaning(self):
+        segment = PathSegment(SegmentType.AS_SEQUENCE, [1, 1, 2])
+        assert segment.kind is SegmentType.AS_SEQUENCE
+        assert segment.asns == (ASN(1), ASN(1), ASN(2))
+        assert all(type(asn) is ASN for asn in segment.asns)
+        assert not segment.is_set
+        assert segment.path_length_contribution() == 3
+        assert repr(segment) == "PathSegment(AS_SEQUENCE, [1, 1, 2])"
+        assert str(segment) == "1 1 2"
+        as_set = PathSegment(SegmentType.AS_SET, [5, 4])
+        assert repr(as_set) == "PathSegment(AS_SET, [5, 4])"
+        assert str(as_set) == "{5,4}"
+
+    def test_pickle_round_trip(self):
+        segments = [
+            PathSegment(SegmentType.AS_SEQUENCE, [1, 2]),
+            PathSegment(SegmentType.AS_SET, [4, 3]),
+        ]
+        path = ASPath.from_string("1 2 {4,3}")
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            for segment in segments:
+                copy = pickle.loads(pickle.dumps(segment, protocol))
+                assert copy == segment
+                assert type(copy) is type(segment)
+                assert copy.is_set == segment.is_set
+            copy = pickle.loads(pickle.dumps(path, protocol))
+            assert copy == path
+            assert hash(copy) == hash(path)
+            assert str(copy) == "1 2 {4,3}"
+
+    def test_segments_are_immutable(self):
+        segment = PathSegment(SegmentType.AS_SEQUENCE, [1, 2])
+        with pytest.raises(AttributeError):
+            segment.kind = SegmentType.AS_SET
+        with pytest.raises(AttributeError):
+            segment.asns = (ASN(3),)
+        with pytest.raises(AttributeError):
+            segment.extra = 1
+        with pytest.raises(TypeError):
+            segment[1] = (ASN(3),)
+
+    def test_a_bare_tuple_is_not_a_segment(self):
+        with pytest.raises(AttributeError_):
+            ASPath([("not", "a segment")])  # type: ignore[list-item]
+        with pytest.raises(AttributeError_):
+            ASPath([(SegmentType.AS_SEQUENCE, (ASN(1),))])  # type: ignore
+
+    def test_path_equality_runs_one_python_frame(self):
+        # Equal but distinct sequence segments compare in C: the only
+        # Python frame is ASPath.__eq__ itself.
+        first = ASPath.from_asns([20205, 3356, 174])
+        second = ASPath.from_asns([20205, 3356, 174])
+        assert first.segments[0] is not second.segments[0]
+        frames = []
+
+        def count_calls(frame, event, arg):
+            if event == "call":
+                frames.append(frame.f_code.co_name)
+
+        sys.setprofile(count_calls)
+        try:
+            equal = first == second
+        finally:
+            sys.setprofile(None)
+        assert equal
+        assert frames == ["__eq__"]

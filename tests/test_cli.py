@@ -244,6 +244,19 @@ class TestScenarioCommand:
         assert info.value.code == 2
         assert "--workers" in capsys.readouterr().err
 
+    def test_run_rejects_heartbeat_cadence_with_nowhere_to_go(self, capsys):
+        # Without --journal or --progress no heartbeat is delivered, so
+        # the cadence is a usage error rather than silently ignored.
+        code = main(
+            ["scenario", "run", "topology-tiny", "--heartbeat-every", "100"]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("bad run arguments: ")
+        assert "--journal or --progress" in captured.err
+        assert captured.err.count("\n") == 1
+
     def test_run_json_output(self, capsys):
         assert main(["scenario", "run", "lab-junos", "--json"]) == 0
         import json

@@ -130,6 +130,38 @@ class TestDecisionSteps:
         )
         assert self.decide([near, far]) is near
 
+    def test_local_beats_ebgp_beats_ibgp_on_a_four_step_tie(self):
+        # Equal rank and MED: step 5 orders LOCAL < EBGP < IBGP, ahead
+        # of the lower IGP cost, router ID and address of the others.
+        internal = route(
+            source=RouteSource.IBGP, peer_id="192.0.2.1",
+            peer_address="10.0.0.1",
+        )
+        external = route(peer_id="192.0.2.2", peer_address="10.0.0.2")
+        local = route(
+            source=RouteSource.LOCAL, peer_id="192.0.2.3",
+            peer_address="10.0.0.3", igp_cost=9,
+        )
+        for pool in (
+            [internal, external, local],
+            [local, external, internal],
+            [external, internal, local],
+        ):
+            assert self.decide(pool) is local
+        assert self.decide([internal, external]) is external
+
+    def test_router_id_decides_an_igp_cost_tie_before_address(self):
+        # Two eBGP routes tie through IGP cost; the lower router ID wins
+        # even though the other route, listed first, has the lower
+        # session address.
+        low_address = route(
+            peer_id="192.0.2.9", peer_address="10.0.0.1", igp_cost=4
+        )
+        low_router_id = route(
+            peer_id="192.0.2.2", peer_address="10.0.0.8", igp_cost=4
+        )
+        assert self.decide([low_address, low_router_id]) is low_router_id
+
     def test_router_id_tiebreak(self):
         low = route(peer_id="192.0.2.1", peer_address="10.0.0.9")
         high = route(peer_id="192.0.2.2", peer_address="10.0.0.1")
