@@ -8,15 +8,17 @@ cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 echo "== static analysis =="
-# The contract linter gates the tree before any test runs: determinism
-# (DET001/DET002), hot-path instrumentation gating (OBS001), CLI stdout
-# discipline (IO001), cache schema versioning (CACHE001), bounded
-# memos (MEMO001), one cyclic-collector pause policy (GC001) and
-# atomic durable writes (DUR001).  Two infrastructure codes report
+# The contract linter gates the tree, one file at a time, before any
+# test runs: determinism (DET001/DET002), hot-path instrumentation
+# gating (OBS001), CLI stdout discipline (IO001), bounded memos
+# (MEMO001), one cyclic-collector pause policy (GC001) and atomic
+# durable writes (DUR001).  Two infrastructure codes report
 # files that do not parse (SYN001) and malformed or unreasoned
 # waivers (SUP001); neither can be waived.  There is no baseline
 # file: exit 1 here means a contract violation — fix it or add a
-# reasoned `# repro: allow(CODE) reason` waiver.
+# reasoned `# repro: allow(CODE) reason` waiver.  The cache schema
+# guard (CACHE_SCHEMA_FINGERPRINT next to CACHE_VERSION) runs in tier 1
+# from the running serializer: tests/test_scenarios_serialize.py.
 python -m repro check src
 
 echo
@@ -36,6 +38,10 @@ python -m repro scenario run topology-tiny
 STATUS=0
 python -m repro scenario run topology-tiny --heartbeat-every 100 || STATUS=$?
 [ "$STATUS" -eq 2 ] || { echo "lone --heartbeat-every exited $STATUS" >&2; exit 1; }
+# A non-finite sweep timing is a usage error too, not a traceback.
+STATUS=0
+python -m repro scenario sweep topology-tiny --seeds 1 --cell-timeout inf || STATUS=$?
+[ "$STATUS" -eq 2 ] || { echo "--cell-timeout inf exited $STATUS" >&2; exit 1; }
 
 echo
 echo "== examples: every script runs to a zero exit =="

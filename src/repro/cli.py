@@ -661,8 +661,9 @@ def _scenario_sweep(arguments) -> int:
             backend=make_backend(
                 arguments.backend,
                 queue_dir=queue_dir,
-                # 0 or negative explicitly disables stale-claim requeue.
-                stale_claim_seconds=stale_claim if stale_claim > 0 else None,
+                # 0 or negative explicitly disables stale-claim requeue;
+                # NaN reaches the backend, which rejects it.
+                stale_claim_seconds=None if stale_claim <= 0 else stale_claim,
             ),
             max_retries=arguments.max_retries,
             on_outcome=on_outcome,

@@ -1,10 +1,10 @@
 """Static-analysis devtools: the repo's contract linter.
 
-Six PRs of hard-won invariants — bit-reproducible results, byte-
-neutral instrumentation, machine-JSON-owns-stdout, bounded memos,
-cache versions that move with the schema — were enforced only by
-runtime tests that catch a violation *after* it ships a wrong byte.
-This package rejects the bug classes at lint time instead:
+Hard-won invariants — bit-reproducible results, byte-neutral
+instrumentation, machine-JSON-owns-stdout, bounded memos, atomic
+durable writes — were enforced only by runtime tests that catch a
+violation *after* it ships a wrong byte.  This package rejects the
+bug classes at lint time instead, one file at a time:
 
 ======== ==========================================================
 code     contract
@@ -14,10 +14,10 @@ DET002   no ambient entropy (unseeded ``random.*``, ``time.time()``,
          ``os.urandom``, unsorted set iteration) in those modules
 OBS001   hot paths use only the gated no-op instrumentation helpers
 IO001    ``cli.py`` stdout flows through the designated emitters
-CACHE001 serialized result schema moves only with ``CACHE_VERSION``
 MEMO001  module-level dict caches build on ``bounded_store``
 GC001    cyclic-collector control calls live only in the one pause
          helper (``scenarios.engine.paused_gc``)
+DUR001   durable-state modules write only through ``atomic_write``
 SYN001   every scanned file parses
 SUP001   every suppression is well-formed and gives a reason
 ======== ==========================================================
@@ -49,15 +49,9 @@ from repro.devtools.checkers import (
     ALL_CHECKERS,
     CHECKERS_BY_CODE,
     KNOWN_CODES,
-    schema_fingerprint,
 )
 from repro.devtools.findings import REPORT_VERSION, CheckReport, Finding
-from repro.devtools.project import (
-    Project,
-    SourceModule,
-    load_module,
-    parse_module,
-)
+from repro.devtools.project import SourceModule, load_module, parse_module
 from repro.devtools.suppress import parse_suppressions
 
 __all__ = [
@@ -66,7 +60,6 @@ __all__ = [
     "CheckReport",
     "Finding",
     "KNOWN_CODES",
-    "Project",
     "REPORT_VERSION",
     "SourceModule",
     "UsageError",
@@ -78,5 +71,4 @@ __all__ = [
     "parse_module",
     "parse_suppressions",
     "run_check",
-    "schema_fingerprint",
 ]

@@ -10,7 +10,7 @@ package-relative path; the fixture suites are built on it.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.devtools.checkers import (
     ALL_CHECKERS,
@@ -20,14 +20,12 @@ from repro.devtools.checkers import (
 )
 from repro.devtools.findings import CheckReport, Finding, sort_findings
 from repro.devtools.project import (
-    Project,
     SourceModule,
     iter_python_files,
     load_module,
     parse_module,
 )
 from repro.devtools.suppress import (
-    Suppression,
     apply_suppressions,
     parse_suppressions,
     unused_suppressions,
@@ -66,17 +64,14 @@ def check_modules(
     modules: "Sequence[SourceModule]",
     checkers: "Sequence[Checker]" = ALL_CHECKERS,
 ) -> CheckReport:
-    """Run *checkers* over already-parsed *modules*."""
+    """Run *checkers* over already-parsed *modules*, one at a time."""
     selected_codes = {checker.code for checker in checkers}
-    project = Project(modules=list(modules))
     findings: "List[Finding]" = []
     suppressed_total = 0
-    waivers: "Dict[str, List[Suppression]]" = {}
-    for module in project.modules:
+    for module in modules:
         suppressions, problems = parse_suppressions(
             module.source, set(KNOWN_CODES), module.path
         )
-        waivers[module.path] = suppressions
         module_findings: "List[Finding]" = [
             problem for problem in problems
             if "SUP001" in selected_codes
@@ -86,22 +81,10 @@ def check_modules(
         kept, dropped = apply_suppressions(module_findings, suppressions)
         suppressed_total += dropped
         findings.extend(kept)
-    project_findings: "List[Finding]" = []
-    for checker in checkers:
-        project_findings.extend(checker.finalize(project))
-    # Project-level findings honor (and use up) the waivers on their
-    # anchor line in the module they point at.
-    for finding in project_findings:
-        kept, dropped = apply_suppressions(
-            [finding], waivers.get(finding.path, ())
-        )
-        suppressed_total += dropped
-        findings.extend(kept)
-    if "SUP001" in selected_codes:
-        for module in project.modules:
+        if "SUP001" in selected_codes:
             findings.extend(
                 unused_suppressions(
-                    waivers[module.path],
+                    suppressions,
                     selected_codes,
                     module.path,
                     module.source,
@@ -110,7 +93,7 @@ def check_modules(
     return CheckReport(
         findings=sort_findings(findings),
         suppressed=suppressed_total,
-        files_scanned=len(project.modules),
+        files_scanned=len(modules),
         codes=sorted(selected_codes),
     )
 
@@ -137,20 +120,10 @@ def check_source(
     rel: str,
     select: "Optional[Iterable[str]]" = None,
     path: "Optional[str]" = None,
-    extra_modules: "Optional[Sequence[Tuple[str, str]]]" = None,
 ) -> CheckReport:
-    """Lint one in-memory snippet as if it lived at ``repro/<rel>``.
-
-    *extra_modules* adds more ``(rel, source)`` snippets to the same
-    project — how the CACHE001 fixtures assemble a miniature
-    serialize/engine/runner trio.
-    """
-    modules = [parse_module(path or rel, source, rel=rel)]
-    for extra_rel, extra_source in extra_modules or ():
-        modules.append(
-            parse_module(extra_rel, extra_source, rel=extra_rel)
-        )
-    return check_modules(modules, resolve_select(select))
+    """Lint one in-memory snippet as if it lived at ``repro/<rel>``."""
+    module = parse_module(path or rel, source, rel=rel)
+    return check_modules([module], resolve_select(select))
 
 
 def explain(code: str) -> str:

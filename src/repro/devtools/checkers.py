@@ -16,12 +16,11 @@ modules (``mrt/``, ``bgp/wire.py``, ``simulator/``) and the CLI.
 from __future__ import annotations
 
 import ast
-import hashlib
 import re
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.devtools.findings import Finding
-from repro.devtools.project import Project, SourceModule
+from repro.devtools.project import SourceModule
 
 #: The gated, byte-neutral instrumentation surface hot paths may use:
 #: module-level helpers that check one boolean and allocate nothing
@@ -39,17 +38,9 @@ CLI_STDOUT_EMITTERS = frozenset({"_emit", "_emit_json"})
 #: Module-level names that look like a memo/cache (MEMO001).
 _CACHE_NAME_RE = re.compile(r"(^|_)(MEMO|MEMOS|CACHE|CACHES)$")
 
-#: Where the cache layer lives (CACHE001 inputs).
-_SERIALIZE_REL = "scenarios/serialize.py"
-_RUNNER_REL = "scenarios/runner.py"
-_ENGINE_REL = "scenarios/engine.py"
-
-#: How many hex digits of the schema digest are recorded.
-_FINGERPRINT_LENGTH = 12
-
 
 class Checker:
-    """Base checker: a code, an explanation, and two hook points."""
+    """Base checker: a code, an explanation, and one per-file hook."""
 
     code: str = ""
     title: str = ""
@@ -57,11 +48,7 @@ class Checker:
     explain: str = ""
 
     def check(self, module: SourceModule) -> "Iterator[Finding]":
-        """Per-module findings (most checkers live here)."""
-        return iter(())
-
-    def finalize(self, project: Project) -> "Iterator[Finding]":
-        """Whole-project findings, after every module was parsed."""
+        """Findings in one parsed module."""
         return iter(())
 
 
@@ -435,182 +422,6 @@ def _walk_with_function_scope(
 
 
 # ----------------------------------------------------------------------
-# CACHE001 — result schema drift without a CACHE_VERSION bump
-# ----------------------------------------------------------------------
-class Cache001SchemaFingerprint(Checker):
-    code = "CACHE001"
-    title = "result schema changed without a CACHE_VERSION bump"
-    explain = """\
-Cache entries under --cache-dir outlive the code that wrote them; the
-only thing standing between an old entry and a silent wrong answer is
-CACHE_VERSION.  This checker fingerprints the serialized result
-schema — the payload keys emitted by result_to_dict/failure_to_dict
-plus the ScenarioResult and SweepReport field sets — and compares it
-to CACHE_SCHEMA_FINGERPRINT, recorded next to CACHE_VERSION in
-scenarios/runner.py.  Growing the schema therefore forces an edit on
-the exact lines where the version decision lives.
-
-History: PR 5 added reader_stats to mrt-replay results; v1 cache
-entries replayed byte-different from fresh computations until the
-v1 -> v2 bump.  The bug class is 'schema grew, version did not'.
-
-Fix: when this fires, decide whether the change alters replayed
-bytes; bump CACHE_VERSION if so (document why if not), then set
-CACHE_SCHEMA_FINGERPRINT to the computed value in the message."""
-
-    def finalize(self, project: Project) -> "Iterator[Finding]":
-        runner = project.module(_RUNNER_REL)
-        serialize = project.module(_SERIALIZE_REL)
-        engine = project.module(_ENGINE_REL)
-        if runner is None or serialize is None or engine is None:
-            # Partial scan (single files, fixtures): the cache layer
-            # is not in view, so there is nothing to compare.
-            return
-        if None in (runner.tree, serialize.tree, engine.tree):
-            return
-        computed = schema_fingerprint(project)
-        if computed is None:
-            yield runner.finding(
-                self.code,
-                (1, 0),
-                "could not derive the result schema (result_to_dict /"
-                " ScenarioResult / SweepReport not found); the cache"
-                " contract is unverifiable",
-            )
-            return
-        recorded, node = _module_constant(
-            runner.tree, "CACHE_SCHEMA_FINGERPRINT"
-        )
-        version_node = _module_constant(runner.tree, "CACHE_VERSION")[1]
-        if recorded is None:
-            anchor = version_node if version_node is not None else (1, 0)
-            yield runner.finding(
-                self.code,
-                anchor,
-                "no CACHE_SCHEMA_FINGERPRINT recorded next to"
-                f" CACHE_VERSION; add CACHE_SCHEMA_FINGERPRINT ="
-                f" \"{computed}\"",
-            )
-            return
-        if recorded != computed:
-            yield runner.finding(
-                self.code,
-                node,
-                f"serialized result schema changed (computed {computed},"
-                f" recorded {recorded}); bump CACHE_VERSION if replayed"
-                " bytes change, then set CACHE_SCHEMA_FINGERPRINT ="
-                f" \"{computed}\"",
-            )
-
-
-def schema_fingerprint(project: Project) -> "Optional[str]":
-    """The current serialized-result schema digest, or None.
-
-    Tagged by origin so a key moving between the payload and a
-    dataclass still changes the digest.
-    """
-    serialize = project.module(_SERIALIZE_REL)
-    runner = project.module(_RUNNER_REL)
-    engine = project.module(_ENGINE_REL)
-    if serialize is None or runner is None or engine is None:
-        return None
-    if None in (serialize.tree, runner.tree, engine.tree):
-        return None
-    tagged: "List[str]" = []
-    found_any = {"functions": False, "result": False, "sweep": False}
-    for name in ("result_to_dict", "failure_to_dict"):
-        function = _module_function(serialize.tree, name)
-        if function is None:
-            continue
-        found_any["functions"] = True
-        for key in _serialized_keys(function):
-            tagged.append(f"{name}:{key}")
-    result_fields = _dataclass_fields(engine.tree, "ScenarioResult")
-    if result_fields is not None:
-        found_any["result"] = True
-        tagged.extend(f"ScenarioResult:{name}" for name in result_fields)
-    sweep_fields = _dataclass_fields(runner.tree, "SweepReport")
-    if sweep_fields is not None:
-        found_any["sweep"] = True
-        tagged.extend(f"SweepReport:{name}" for name in sweep_fields)
-    if not all(found_any.values()):
-        return None
-    canonical = "\n".join(sorted(tagged)).encode("utf-8")
-    return hashlib.sha256(canonical).hexdigest()[:_FINGERPRINT_LENGTH]
-
-
-def _serialized_keys(function: ast.AST) -> "Set[str]":
-    """String keys a serializer emits: dict literals + payload stores."""
-    keys: "Set[str]" = set()
-    for node in ast.walk(function):
-        if isinstance(node, ast.Dict):
-            for key in node.keys:
-                if isinstance(key, ast.Constant) and isinstance(
-                    key.value, str
-                ):
-                    keys.add(key.value)
-        elif isinstance(node, ast.Assign):
-            for target in node.targets:
-                key = _subscript_str_key(target)
-                if key is not None:
-                    keys.add(key)
-    return keys
-
-
-def _subscript_str_key(node) -> "Optional[str]":
-    if not isinstance(node, ast.Subscript):
-        return None
-    index = node.slice
-    # Python 3.8 wraps constant subscripts in ast.Index.
-    if index.__class__.__name__ == "Index":
-        index = index.value  # pragma: no cover (3.8 only)
-    if isinstance(index, ast.Constant) and isinstance(index.value, str):
-        return index.value
-    return None
-
-
-def _module_function(tree, name: str) -> "Optional[ast.AST]":
-    for node in tree.body:
-        if (
-            isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and node.name == name
-        ):
-            return node
-    return None
-
-
-def _dataclass_fields(tree, class_name: str) -> "Optional[List[str]]":
-    for node in tree.body:
-        if not isinstance(node, ast.ClassDef) or node.name != class_name:
-            continue
-        names: "List[str]" = []
-        for statement in node.body:
-            if isinstance(statement, ast.AnnAssign) and isinstance(
-                statement.target, ast.Name
-            ):
-                names.append(statement.target.id)
-        return names
-    return None
-
-
-def _module_constant(
-    tree, name: str
-) -> "Tuple[Optional[str], Optional[ast.AST]]":
-    for node in tree.body:
-        if not isinstance(node, ast.Assign):
-            continue
-        for target in node.targets:
-            if isinstance(target, ast.Name) and target.id == name:
-                value = node.value
-                if isinstance(value, ast.Constant) and isinstance(
-                    value.value, str
-                ):
-                    return value.value, node
-                return None, node
-    return None, None
-
-
-# ----------------------------------------------------------------------
 # MEMO001 — unbounded module-level caches
 # ----------------------------------------------------------------------
 class Memo001UnboundedCache(Checker):
@@ -932,7 +743,6 @@ ALL_CHECKERS: "Tuple[Checker, ...]" = (
     Det002AmbientEntropy(),
     Obs001UngatedInstrumentation(),
     Io001StdoutDiscipline(),
-    Cache001SchemaFingerprint(),
     Memo001UnboundedCache(),
     Gc001CollectorPolicy(),
     Dur001DurableWrite(),

@@ -35,12 +35,12 @@ def add_check_parser(subparsers) -> None:
         "check",
         help="static analysis: enforce the repo's contract invariants",
         description=(
-            "AST-based contract linter: determinism (DET001/DET002),"
-            " hot-path instrumentation gating (OBS001), CLI stdout"
-            " discipline (IO001), cache schema versioning (CACHE001),"
-            " bounded memos (MEMO001), one cyclic-collector policy"
-            " (GC001) and atomic durable writes (DUR001).  Exit 0"
-            " clean, 1 findings, 2 usage error."
+            "AST-based contract linter, one file at a time:"
+            " determinism (DET001/DET002), hot-path instrumentation"
+            " gating (OBS001), CLI stdout discipline (IO001), bounded"
+            " memos (MEMO001), one cyclic-collector policy (GC001) and"
+            " atomic durable writes (DUR001).  Exit 0 clean, 1"
+            " findings, 2 usage error."
         ),
     )
     check.add_argument(

@@ -3,8 +3,8 @@
 A :class:`SourceModule` is one Python file parsed once — AST, raw
 source, line list and package-relative path — handed to every
 selected checker, so a full-tree run costs one ``ast.parse`` per file
-no matter how many checkers are on.  A :class:`Project` is the whole
-scanned set, for the checkers (CACHE001) whose contract spans files.
+no matter how many checkers are on.  Every checker reads one module
+at a time; no rule spans files.
 
 Checkers scope themselves by *package-relative* path — the path below
 the ``repro`` package directory (``simulator/session.py``,
@@ -107,19 +107,6 @@ class SourceModule:
     @property
     def is_durable_state(self) -> bool:
         return self.rel in DURABLE_STATE_FILES
-
-
-@dataclass
-class Project:
-    """Every module scanned by one ``repro check`` invocation."""
-
-    modules: "List[SourceModule]" = field(default_factory=list)
-
-    def module(self, rel: str) -> "Optional[SourceModule]":
-        for candidate in self.modules:
-            if candidate.rel == rel:
-                return candidate
-        return None
 
 
 def package_relative(path: str) -> str:

@@ -11,7 +11,6 @@ from repro.mrt.records import (
     MRTType,
     Bgp4mpSubtype,
     Bgp4mpMessage,
-    PeerIndexTable,
     MRTError,
 )
 from repro.mrt.reader import MRTReader
@@ -27,7 +26,6 @@ __all__ = [
     "MRTType",
     "Bgp4mpSubtype",
     "Bgp4mpMessage",
-    "PeerIndexTable",
     "MRTError",
     "MRTReader",
     "MRTWriter",

@@ -8,8 +8,9 @@ We implement the two record families the reproduction needs:
   microsecond timestamps.  Collector projects record update files in
   exactly this shape; some collectors only store whole seconds, which
   the paper's cleaning step must repair — our writer can emulate both.
-* ``TABLE_DUMP_V2`` ``PEER_INDEX_TABLE`` — enough to tag dumps with the
-  collector identity.
+* ``TABLE_DUMP_V2`` — only the record type code here; the
+  ``PEER_INDEX_TABLE`` and RIB snapshot codec lives in
+  :mod:`repro.mrt.table_dump`.
 """
 
 from __future__ import annotations
@@ -41,12 +42,6 @@ class Bgp4mpSubtype(enum.IntEnum):
     MESSAGE = 1
     MESSAGE_AS4 = 4
     STATE_CHANGE_AS4 = 5
-
-
-class TableDumpV2Subtype(enum.IntEnum):
-    """TABLE_DUMP_V2 subtypes (subset)."""
-
-    PEER_INDEX_TABLE = 1
 
 
 _AFI_IPV4 = 1
@@ -152,28 +147,6 @@ class Bgp4mpMessage:
         return (
             f"Bgp4mpMessage(ts={self.timestamp}, peer_asn={int(self.peer_asn)},"
             f" peer={self.peer_address}, message={self.message!r})"
-        )
-
-
-class PeerIndexTable:
-    """A TABLE_DUMP_V2 PEER_INDEX_TABLE record (collector identity)."""
-
-    __slots__ = ("collector_id", "view_name", "peers")
-
-    def __init__(
-        self,
-        collector_id: str,
-        view_name: str = "",
-        peers: "tuple[tuple[int, str], ...]" = (),
-    ):
-        self.collector_id = collector_id
-        self.view_name = view_name
-        self.peers = tuple(peers)
-
-    def __repr__(self) -> str:
-        return (
-            f"PeerIndexTable(collector='{self.collector_id}',"
-            f" peers={len(self.peers)})"
         )
 
 

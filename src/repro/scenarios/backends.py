@@ -42,6 +42,7 @@ runner can checkpoint caches and manifests without locking.
 from __future__ import annotations
 
 import json
+import math
 import multiprocessing
 import os
 import time
@@ -614,9 +615,11 @@ class QueueBackend(ExecutionBackend):
     ):
         if not work_dir:
             raise ValueError("queue backend needs a work_dir")
-        if stale_claim_seconds is not None and stale_claim_seconds <= 0:
+        if stale_claim_seconds is not None and not (
+            math.isfinite(stale_claim_seconds) and stale_claim_seconds > 0
+        ):
             raise ValueError(
-                f"stale_claim_seconds must be > 0,"
+                f"stale_claim_seconds must be finite and > 0,"
                 f" got {stale_claim_seconds!r}"
             )
         self.work_dir = str(work_dir)

@@ -73,14 +73,14 @@ from repro.scenarios.spec import ScenarioSpec
 #: sweep cells never set them, so no cached entry carried either key.
 CACHE_VERSION = "v3"
 
-#: Static fingerprint of the serialized result schema — the payload
-#: keys of ``result_to_dict``/``failure_to_dict`` plus the
+#: Fingerprint of the serialized result schema — the payload keys of
+#: ``result_to_dict``/``failure_to_dict`` plus the
 #: ``ScenarioResult``/``SweepReport`` field sets — recorded here so
-#: the contract linter (``repro check``, CACHE001) fails whenever the
-#: schema moves without anyone looking at these two constants
-#: together.  When that check fires: decide whether replayed bytes
-#: change, bump :data:`CACHE_VERSION` if they do, and paste the
-#: computed value from the finding message here.
+#: ``tests/test_scenarios_serialize.py::TestCacheSchema`` fails
+#: whenever the schema moves without anyone looking at these two
+#: constants together.  When that test fails: decide whether replayed
+#: bytes change, bump :data:`CACHE_VERSION` if they do, and paste the
+#: computed value from its assertion message here.
 CACHE_SCHEMA_FINGERPRINT = "96530b908db7"
 
 #: Manifest filename inside the cache dir, and its schema version.
@@ -401,15 +401,18 @@ class SweepRunner:
             raise ValueError(
                 f"max_retries must be >= 0, got {max_retries!r}"
             )
-        if cell_timeout is not None and cell_timeout <= 0:
+        if cell_timeout is not None and not (
+            math.isfinite(cell_timeout) and cell_timeout > 0
+        ):
             raise ValueError(
-                f"cell_timeout must be > 0, got {cell_timeout!r}"
+                f"cell_timeout must be finite and > 0, got {cell_timeout!r}"
             )
         if retry_backoff is None:
             retry_backoff = DEFAULT_RETRY_BACKOFF
-        if retry_backoff < 0:
+        if not (math.isfinite(retry_backoff) and retry_backoff >= 0):
             raise ValueError(
-                f"retry_backoff must be >= 0, got {retry_backoff!r}"
+                f"retry_backoff must be finite and >= 0,"
+                f" got {retry_backoff!r}"
             )
         self.workers = workers or (os.cpu_count() or 1)
         self.cache_dir = cache_dir

@@ -340,6 +340,25 @@ class TestScenarioCommand:
         assert main(["scenario", "sweep"]) == 2
         assert "scenario name" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--cell-timeout", "inf"],
+            ["--cell-timeout", "nan"],
+            ["--backend", "queue", "--stale-claim", "nan"],
+        ],
+    )
+    def test_sweep_non_finite_timing_rejected(self, flags, tmp_path, capsys):
+        # `--cell-timeout inf` used to die in an OverflowError traceback
+        # and `--stale-claim nan` used to disable requeue silently.
+        argv = ["scenario", "sweep", "topology-tiny", "--seeds", "1"]
+        argv += ["--cache-dir", str(tmp_path / "cache"), *flags]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("bad sweep arguments: ")
+        assert "must be finite" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_sweep_bad_shard_rejected(self, capsys):
         # --shard is gone (the queue backend partitions a sweep
         # dynamically); any value is now an unknown argument.

@@ -15,10 +15,8 @@ def _codes(report):
     return [finding.code for finding in report.findings]
 
 
-def _check(source, rel, select=None, extra=None):
-    return check_source(
-        textwrap.dedent(source), rel, select=select, extra_modules=extra
-    )
+def _check(source, rel, select=None):
+    return check_source(textwrap.dedent(source), rel, select=select)
 
 
 # ----------------------------------------------------------------------
@@ -364,113 +362,6 @@ class TestIo001:
             """,
             "devtools/cli.py",
             select=["IO001"],
-        )
-        assert report.clean
-
-
-# ----------------------------------------------------------------------
-# CACHE001 — schema fingerprint vs CACHE_VERSION
-# ----------------------------------------------------------------------
-_SERIALIZE_V1 = """
-def result_to_dict(result):
-    payload = {
-        "spec": {},
-        "spec_hash": result.spec_hash,
-        "metrics": result.metrics,
-    }
-    return payload
-
-
-def failure_to_dict(failure):
-    return {"name": failure.name, "error": failure.error}
-"""
-
-_ENGINE_FIXTURE = """
-class ScenarioResult:
-    spec: object
-    spec_hash: str
-    metrics: dict
-"""
-
-
-def _runner_fixture(fingerprint):
-    return (
-        "CACHE_VERSION = \"v2\"\n"
-        f"CACHE_SCHEMA_FINGERPRINT = \"{fingerprint}\"\n\n\n"
-        "class SweepReport:\n"
-        "    results: list\n"
-        "    workers: int\n"
-    )
-
-
-def _cache_report(serialize_source, runner_source):
-    return check_source(
-        textwrap.dedent(serialize_source),
-        "scenarios/serialize.py",
-        select=["CACHE001"],
-        extra_modules=[
-            ("scenarios/engine.py", textwrap.dedent(_ENGINE_FIXTURE)),
-            ("scenarios/runner.py", runner_source),
-        ],
-    )
-
-
-class TestCache001:
-    def _current_fingerprint(self, serialize_source):
-        """Fingerprint of the fixture trio via the public helper."""
-        from repro.devtools import parse_module, schema_fingerprint
-        from repro.devtools.project import Project
-
-        project = Project(
-            modules=[
-                parse_module(
-                    "scenarios/serialize.py",
-                    textwrap.dedent(serialize_source),
-                    rel="scenarios/serialize.py",
-                ),
-                parse_module(
-                    "scenarios/engine.py",
-                    textwrap.dedent(_ENGINE_FIXTURE),
-                    rel="scenarios/engine.py",
-                ),
-                parse_module(
-                    "scenarios/runner.py",
-                    _runner_fixture("x"),
-                    rel="scenarios/runner.py",
-                ),
-            ]
-        )
-        return schema_fingerprint(project)
-
-    def test_matching_fingerprint_is_clean(self):
-        fingerprint = self._current_fingerprint(_SERIALIZE_V1)
-        report = _cache_report(
-            _SERIALIZE_V1, _runner_fixture(fingerprint)
-        )
-        assert report.clean
-
-    def test_schema_growth_without_bump_is_flagged(self):
-        # The PR 5 bug: reader_stats appeared, CACHE_VERSION did not
-        # move, and v1 entries replayed byte-different.
-        fingerprint = self._current_fingerprint(_SERIALIZE_V1)
-        grown = _SERIALIZE_V1.replace(
-            '"metrics": result.metrics,',
-            '"metrics": result.metrics,\n'
-            '        "reader_stats": result.reader_stats,',
-        )
-        report = _cache_report(grown, _runner_fixture(fingerprint))
-        assert _codes(report) == ["CACHE001"]
-        assert "CACHE_VERSION" in report.findings[0].message
-
-    def test_missing_fingerprint_constant_is_flagged(self):
-        runner = "CACHE_VERSION = \"v2\"\n\n\nclass SweepReport:\n    results: list\n"
-        report = _cache_report(_SERIALIZE_V1, runner)
-        assert _codes(report) == ["CACHE001"]
-        assert "CACHE_SCHEMA_FINGERPRINT" in report.findings[0].message
-
-    def test_partial_scan_skips_quietly(self):
-        report = _check(
-            _SERIALIZE_V1, "scenarios/serialize.py", select=["CACHE001"]
         )
         assert report.clean
 

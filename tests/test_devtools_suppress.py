@@ -165,31 +165,6 @@ class TestSuppressions:
         )
         assert report.clean
 
-    def test_project_level_finding_uses_its_waiver(self):
-        # CACHE001 is raised by finalize(), after every module was
-        # scanned; the waiver it uses must not then read as stale.
-        runner = (
-            'CACHE_VERSION = "v2"\n'
-            'CACHE_SCHEMA_FINGERPRINT = "stale"'
-            "  # repro: allow(CACHE001) fixture pins an old schema\n"
-            "\n\nclass SweepReport:\n    results: list\n"
-        )
-        report = check_source(
-            "def result_to_dict(result):\n"
-            '    return {"spec_hash": result.spec_hash}\n',
-            "scenarios/serialize.py",
-            select=["CACHE001", "SUP001"],
-            extra_modules=[
-                (
-                    "scenarios/engine.py",
-                    "class ScenarioResult:\n    spec_hash: str\n",
-                ),
-                ("scenarios/runner.py", runner),
-            ],
-        )
-        assert report.clean, report.findings
-        assert report.suppressed == 1
-
 
 class TestRunCheckOnDisk:
     def test_scans_directory(self, tmp_path):

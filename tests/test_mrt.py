@@ -18,7 +18,6 @@ from repro.mrt import Bgp4mpMessage, MRTError, MRTReader, MRTWriter
 from repro.mrt.records import (
     MRTHeader,
     MRTType,
-    PeerIndexTable,
     decode_header,
     encode_header,
     pack_address,
@@ -180,7 +179,3 @@ class TestRecordHelpers:
         raw = struct.pack("!IHHI", 0, 99, 0, 0)
         with pytest.raises(MRTError):
             decode_header(raw)
-
-    def test_peer_index_table_repr(self):
-        table = PeerIndexTable("rrc00", peers=((1, "192.0.2.1"),))
-        assert "rrc00" in repr(table)

@@ -141,11 +141,18 @@ class TestSchedulerConfig:
         [
             dict(cell_timeout=0.0),
             dict(cell_timeout=-1.0),
+            # inf overflowed inside the lane wait; NaN read every
+            # deadline as due, so the lane loop busy-polled forever.
+            dict(cell_timeout=float("inf")),
+            dict(cell_timeout=float("nan")),
             dict(retry_backoff=-0.1),
+            # Either made every retry sleep the full backoff cap.
+            dict(retry_backoff=float("inf")),
+            dict(retry_backoff=float("nan")),
         ],
     )
     def test_rejects_bad_knobs(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             SweepRunner(**kwargs)
 
     def test_defaults_validate(self):
@@ -732,8 +739,15 @@ class TestQueueBackend(QueueHarness):
     def test_requires_work_dir(self):
         with pytest.raises(ValueError, match="work_dir"):
             QueueBackend("")
+
+    # NaN made ``age <= nan`` false for every claim, so live claims
+    # were requeued under their running owners.
+    @pytest.mark.parametrize(
+        "seconds", [0.0, -1.0, float("inf"), float("nan")]
+    )
+    def test_rejects_bad_stale_claim(self, seconds):
         with pytest.raises(ValueError, match="stale_claim_seconds"):
-            QueueBackend("/tmp/q", stale_claim_seconds=0.0)
+            QueueBackend("/tmp/q", stale_claim_seconds=seconds)
 
     def test_default_is_armed(self):
         assert (

@@ -1,25 +1,36 @@
-"""Spec/result JSON round-trip and spec hashing."""
+"""Spec/result JSON round-trip, spec hashing and the cache schema."""
 
+import hashlib
 import json
-from dataclasses import replace
+import typing
+from dataclasses import fields, replace
 
 import pytest
 
 from repro.scenarios import (
     InternetSpec,
+    JobFailure,
     LabSpec,
     ScenarioResult,
     ScenarioSpec,
     ScenarioValidationError,
+    SweepReport,
     all_scenarios,
     get_scenario,
     result_from_json,
     result_to_json,
+    run_scenario,
     spec_from_dict,
     spec_from_json,
     spec_hash,
     spec_to_dict,
     spec_to_json,
+)
+from repro.scenarios.runner import CACHE_SCHEMA_FINGERPRINT, CACHE_VERSION
+from repro.scenarios.serialize import (
+    failure_to_dict,
+    result_from_dict,
+    result_to_dict,
 )
 
 
@@ -134,3 +145,87 @@ class TestResultRoundTrip:
         assert clone.spec == spec
         assert clone.spec_hash == result.spec_hash
         assert clone.metrics == result.metrics
+
+
+# ----------------------------------------------------------------------
+# the cache schema: CACHE_SCHEMA_FINGERPRINT vs the running serializer
+# ----------------------------------------------------------------------
+def _sample(annotation, name):
+    """A non-empty value of *annotation*, for the field called *name*."""
+    if annotation is ScenarioSpec:
+        return get_scenario("lab-junos")
+    if annotation is str:
+        return f"{name}-sample"
+    if annotation is int:
+        return 7
+    if annotation is float:
+        return 0.5
+    if annotation is dict:
+        return {name: 1}
+    if typing.get_origin(annotation) is dict:
+        key_type, value_type = typing.get_args(annotation)
+        return {
+            _sample(key_type, name): _sample(value_type, name)
+        }
+    raise AssertionError(
+        f"no sample value for field {name!r} of type {annotation!r};"
+        " teach _sample the type"
+    )
+
+
+def _populated(cls):
+    """An instance of the dataclass *cls* with every field non-empty."""
+    hints = typing.get_type_hints(cls)
+    return cls(
+        **{item.name: _sample(hints[item.name], item.name)
+           for item in fields(cls)}
+    )
+
+
+def _schema_fingerprint(result, failure):
+    """Digest of the payload keys and the result/report field names.
+
+    Tagged by origin so a key moving between the payload and a
+    dataclass still changes the digest.
+    """
+    tagged = [f"result_to_dict:{key}" for key in result_to_dict(result)]
+    tagged += [
+        f"failure_to_dict:{key}" for key in failure_to_dict(failure)
+    ]
+    tagged += [f"ScenarioResult:{item.name}"
+               for item in fields(ScenarioResult)]
+    tagged += [f"SweepReport:{item.name}" for item in fields(SweepReport)]
+    canonical = "\n".join(sorted(tagged)).encode("utf-8")
+    return hashlib.sha256(canonical).hexdigest()[:12]
+
+
+class TestCacheSchema:
+    """Cache entries outlive the code that wrote them.
+
+    When mrt-replay results gained ``reader_stats`` without a
+    ``CACHE_VERSION`` move, v1 entries replayed byte-different from
+    fresh runs.  Growing the serialized schema must therefore force an
+    edit next to ``CACHE_VERSION`` in ``scenarios/runner.py``.
+    """
+
+    def test_recorded_fingerprint_matches_running_schema(self):
+        computed = _schema_fingerprint(
+            _populated(ScenarioResult), _populated(JobFailure)
+        )
+        assert computed == CACHE_SCHEMA_FINGERPRINT, (
+            f"the serialized result schema changed (computed {computed},"
+            f" recorded {CACHE_SCHEMA_FINGERPRINT}); bump CACHE_VERSION"
+            f" (now {CACHE_VERSION}) if replayed bytes change, then set"
+            f" CACHE_SCHEMA_FINGERPRINT = \"{computed}\""
+        )
+
+    def test_populated_result_round_trips(self):
+        result = _populated(ScenarioResult)
+        assert result_from_dict(result_to_dict(result)) == result
+        assert result_from_json(result_to_json(result)) == result
+
+    @pytest.mark.parametrize("name", ["topology-tiny", "lab-baseline"])
+    def test_real_payload_keys_are_in_the_fingerprinted_set(self, name):
+        real = run_scenario(get_scenario(name))
+        populated = _populated(ScenarioResult)
+        assert set(result_to_dict(real)) <= set(result_to_dict(populated))
