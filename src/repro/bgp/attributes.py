@@ -35,6 +35,10 @@ Origin = OriginCode
 #: field as it is (``None`` is a real value there: it clears a field).
 _KEEP = object()
 
+_new_object = object.__new__
+_EMPTY_PATH = ASPath.empty()
+_NO_COMMUNITIES = CommunitySet.empty()
+
 
 def _check_metric_range(value: "Optional[int]", label: str) -> None:
     """Shared MED/LOCAL_PREF range check (used by __init__ and replace)."""
@@ -96,6 +100,43 @@ class PathAttributes:
         self._extra = tuple(sorted(extra))
         _check_metric_range(med, "MED")
         _check_metric_range(local_pref, "LOCAL_PREF")
+
+    @classmethod
+    def from_decoded(
+        cls,
+        *,
+        origin: OriginCode = OriginCode.IGP,
+        as_path: ASPath = _EMPTY_PATH,
+        next_hop: Optional[str] = None,
+        med: Optional[int] = None,
+        local_pref: Optional[int] = None,
+        communities: CommunitySet = _NO_COMMUNITIES,
+        atomic_aggregate: bool = False,
+        aggregator: "tuple[ASN, str] | None" = None,
+        originator_id: Optional[str] = None,
+        cluster_list: "tuple[str, ...]" = (),
+        extra: "tuple[tuple[int, bytes], ...]" = (),
+    ) -> "PathAttributes":
+        """Build from a decoder's checked fields, without re-checking.
+
+        The wire decoder's path: *origin* is an :class:`OriginCode`,
+        MED and LOCAL_PREF came from four octets, *atomic_aggregate* is
+        a bool, *cluster_list* a tuple and *extra* is already sorted.
+        Anything else must use the checked constructor.
+        """
+        made = _new_object(cls)
+        made._origin = origin
+        made._as_path = as_path
+        made._next_hop = next_hop
+        made._med = med
+        made._local_pref = local_pref
+        made._communities = communities
+        made._atomic_aggregate = atomic_aggregate
+        made._aggregator = aggregator
+        made._originator_id = originator_id
+        made._cluster_list = cluster_list
+        made._extra = extra
+        return made
 
     # ------------------------------------------------------------------
     # accessors

@@ -292,7 +292,11 @@ class CommunitySet:
     # ------------------------------------------------------------------
     @classmethod
     def _make(cls, classic: frozenset, large: frozenset) -> "CommunitySet":
-        """Internal constructor for already-validated member sets."""
+        """Internal constructor for already-validated member sets.
+
+        The set algebra below and the wire decoder, whose members are
+        :class:`Community` objects it built, use it.
+        """
         made = cls.__new__(cls)
         made._classic = classic
         made._large = large

@@ -58,6 +58,8 @@ _TYPE_ROUTE_REFRESH = int(MessageType.ROUTE_REFRESH)
 _NOTIFICATION_CODES = frozenset(range(1, 7))
 
 _ORIGIN_BY_CODE = {int(code): code for code in OriginCode}
+_AS_SEQUENCE = SegmentType.AS_SEQUENCE
+_NO_MEMBERS: frozenset = frozenset()
 
 # ----------------------------------------------------------------------
 # decode memo caches
@@ -68,23 +70,30 @@ _ORIGIN_BY_CODE = {int(code): code for code in OriginCode}
 # the paper's subject!).  Decoding each distinct byte string once and
 # returning the *same* interned object thereafter both skips the parse
 # and enables identity fast paths downstream (``a is b`` implies
-# ``a == b`` for these immutable value objects).  All caches are
-# bounded — cleared wholesale when full, like the MRT writer's message
-# cache — and can be disabled as one unit for the benchmark's
+# ``a == b`` for these immutable value objects).  Below the byte-string
+# memos, the member memos intern single values: the community sets of
+# a day churn, but they draw on a few hundred distinct communities and
+# ASNs, so a miss builds one new set around shared members.  All caches
+# are bounded — cleared wholesale when full, like the MRT writer's
+# message cache — and can be disabled as one unit for the benchmark's
 # fast-vs-naive verification.
 _MEMO_LIMIT = 16384
 _ATTR_BLOCK_MEMO: dict = {}  # raw attr block -> (attrs, reach, unreach)
 _AS_PATH_MEMO: dict = {}  # raw AS_PATH value -> ASPath
 _COMMUNITY_SET_MEMO: dict = {}  # raw COMMUNITIES value -> CommunitySet
 _LARGE_SET_MEMO: dict = {}  # raw LARGE_COMMUNITIES value -> frozenset
-_ADDR4_MEMO: dict = {}  # packed IPv4 -> text (NEXT_HOP et al.)
+_COMMUNITY_MEMO: dict = {}  # u32 -> Community (COMMUNITIES members)
+_ASN_MEMO: dict = {}  # u32 -> ASN (AS_SEQUENCE members)
+_ADDR_MEMO: dict = {}  # packed IPv4 or IPv6 address -> text
 _memo_enabled = True
 
 _ATTR_BLOCK_STATS = memo_counters("wire.attr_block")
 _AS_PATH_STATS = memo_counters("wire.as_path")
 _COMMUNITY_SET_STATS = memo_counters("wire.community_set")
 _LARGE_SET_STATS = memo_counters("wire.large_set")
-_ADDR4_STATS = memo_counters("wire.addr4")
+_COMMUNITY_STATS = memo_counters("wire.community")
+_ASN_STATS = memo_counters("wire.asn")
+_ADDR_STATS = memo_counters("wire.addr")
 
 
 def set_decode_memo(enabled: bool) -> bool:
@@ -102,7 +111,9 @@ def set_decode_memo(enabled: bool) -> bool:
         _AS_PATH_MEMO,
         _COMMUNITY_SET_MEMO,
         _LARGE_SET_MEMO,
-        _ADDR4_MEMO,
+        _COMMUNITY_MEMO,
+        _ASN_MEMO,
+        _ADDR_MEMO,
     ):
         cache.clear()
     return previous
@@ -115,21 +126,67 @@ def decode_memo_sizes() -> "dict[str, int]":
         "as_path": len(_AS_PATH_MEMO),
         "community_set": len(_COMMUNITY_SET_MEMO),
         "large_set": len(_LARGE_SET_MEMO),
-        "addr4": len(_ADDR4_MEMO),
+        "community": len(_COMMUNITY_MEMO),
+        "asn": len(_ASN_MEMO),
+        "addr": len(_ADDR_MEMO),
     }
 
 
-def _ipv4_text(packed: bytes) -> str:
-    cached = _ADDR4_MEMO.get(packed)
+def _address_text(packed: bytes, parse=ipaddress.IPv4Address) -> str:
+    """Text form of a packed address; *parse* is its address class.
+
+    IPv4 and IPv6 share one memo: their keys differ in length.
+    """
+    cached = _ADDR_MEMO.get(packed)
     if cached is not None:
-        _ADDR4_STATS.hits += 1
+        _ADDR_STATS.hits += 1
         return cached
-    text = str(ipaddress.IPv4Address(packed))
+    text = str(parse(packed))
+    if _memo_enabled:
+        bounded_store(_ADDR_MEMO, packed, text, _MEMO_LIMIT, _ADDR_STATS)
+    return text
+
+
+def _interned(values: tuple, memo: dict, stats, intern) -> tuple:
+    """*values* as shared members: one object per distinct 32-bit value.
+
+    The miss path of the COMMUNITIES and AS_PATH decoders.  When every
+    value is in the member *memo* its hits are counted once, for the
+    whole set; otherwise *intern* looks up or builds each member.
+    """
+    try:
+        members = tuple(map(memo.__getitem__, values))
+    except KeyError:
+        return tuple(map(intern, values))
+    stats.hits += len(members)
+    return members
+
+
+# Every 32-bit value is a valid Community and ASN, so the two builders
+# below construct with int.__new__ and no range check.
+def _intern_community(number: int) -> Community:
+    community = _COMMUNITY_MEMO.get(number)
+    if community is not None:
+        _COMMUNITY_STATS.hits += 1
+        return community
+    community = int.__new__(Community, number)
     if _memo_enabled:
         bounded_store(
-            _ADDR4_MEMO, packed, text, _MEMO_LIMIT, _ADDR4_STATS
+            _COMMUNITY_MEMO, number, community, _MEMO_LIMIT,
+            _COMMUNITY_STATS,
         )
-    return text
+    return community
+
+
+def _intern_asn(number: int) -> ASN:
+    asn = _ASN_MEMO.get(number)
+    if asn is not None:
+        _ASN_STATS.hits += 1
+        return asn
+    asn = int.__new__(ASN, number)
+    if _memo_enabled:
+        bounded_store(_ASN_MEMO, number, asn, _MEMO_LIMIT, _ASN_STATS)
+    return asn
 
 
 # ----------------------------------------------------------------------
@@ -391,7 +448,11 @@ def _decode_attribute_block(raw: bytes):
     fields, reach_v6, unreach_v6, mp_next_hop = _parse_attributes(raw)
     if mp_next_hop is not None and fields.get("next_hop") is None:
         fields["next_hop"] = mp_next_hop
-    result = (PathAttributes(**fields), tuple(reach_v6), tuple(unreach_v6))
+    result = (
+        PathAttributes.from_decoded(**fields),
+        tuple(reach_v6),
+        tuple(unreach_v6),
+    )
     if _memo_enabled:
         bounded_store(
             _ATTR_BLOCK_MEMO, raw, result, _MEMO_LIMIT, _ATTR_BLOCK_STATS
@@ -443,7 +504,7 @@ def _parse_attributes(data: bytes):
             extra.append((type_code, value))
     mp_next_hop = fields.pop("_mp_next_hop", None)
     if extra:
-        fields["extra"] = tuple(extra)
+        fields["extra"] = tuple(sorted(extra))
     return fields, reach_v6, unreach_v6, mp_next_hop
 
 
@@ -475,7 +536,7 @@ def _dec_as_path(value, fields, reach_v6, unreach_v6):
 def _dec_next_hop(value, fields, reach_v6, unreach_v6):
     if len(value) != 4:
         raise WireFormatError("bad NEXT_HOP length")
-    fields["next_hop"] = _ipv4_text(value)
+    fields["next_hop"] = _address_text(value)
 
 
 def _dec_med(value, fields, reach_v6, unreach_v6):
@@ -497,10 +558,10 @@ def _dec_atomic_aggregate(value, fields, reach_v6, unreach_v6):
 def _dec_aggregator(value, fields, reach_v6, unreach_v6):
     if len(value) == 8:
         asn = _U32.unpack(value[:4])[0]
-        router = _ipv4_text(value[4:])
+        router = _address_text(value[4:])
     elif len(value) == 6:
         asn = _U16.unpack(value[:2])[0]
-        router = _ipv4_text(value[2:])
+        router = _address_text(value[2:])
     else:
         raise WireFormatError("bad AGGREGATOR length")
     fields["aggregator"] = (ASN(asn), router)
@@ -511,10 +572,11 @@ def _dec_communities(value, fields, reach_v6, unreach_v6):
     if community_set is None:
         if len(value) % 4:
             raise WireFormatError("bad COMMUNITIES length")
-        community_set = CommunitySet(
-            Community.from_bytes(value[i : i + 4])
-            for i in range(0, len(value), 4)
+        members = _interned(
+            struct.unpack(f"!{len(value) >> 2}I", value),
+            _COMMUNITY_MEMO, _COMMUNITY_STATS, _intern_community,
         )
+        community_set = CommunitySet._make(frozenset(members), _NO_MEMBERS)
         if _memo_enabled:
             bounded_store(
                 _COMMUNITY_SET_MEMO, value, community_set, _MEMO_LIMIT,
@@ -526,7 +588,7 @@ def _dec_communities(value, fields, reach_v6, unreach_v6):
     if existing is None or not existing.large:
         fields["communities"] = community_set
     else:
-        fields["communities"] = CommunitySet(
+        fields["communities"] = CommunitySet._make(
             community_set.classic, existing.large
         )
 
@@ -548,21 +610,21 @@ def _dec_large_communities(value, fields, reach_v6, unreach_v6):
     else:
         _LARGE_SET_STATS.hits += 1
     existing = fields.get("communities")
-    classic = existing.classic if existing is not None else ()
-    fields["communities"] = CommunitySet(classic, large)
+    classic = existing.classic if existing is not None else _NO_MEMBERS
+    fields["communities"] = CommunitySet._make(classic, large)
 
 
 def _dec_originator_id(value, fields, reach_v6, unreach_v6):
     if len(value) != 4:
         raise WireFormatError("bad ORIGINATOR_ID length")
-    fields["originator_id"] = _ipv4_text(value)
+    fields["originator_id"] = _address_text(value)
 
 
 def _dec_cluster_list(value, fields, reach_v6, unreach_v6):
     if len(value) % 4:
         raise WireFormatError("bad CLUSTER_LIST length")
     fields["cluster_list"] = tuple(
-        _ipv4_text(value[i : i + 4]) for i in range(0, len(value), 4)
+        _address_text(value[i : i + 4]) for i in range(0, len(value), 4)
     )
 
 
@@ -574,8 +636,11 @@ def _dec_mp_reach(value, fields, reach_v6, unreach_v6):
     nlri_offset = 4 + next_hop_length + 1  # +1 reserved octet
     if afi == Afi.IPV6 and safi == Safi.UNICAST:
         if next_hop_length >= 16:
-            fields["_mp_next_hop"] = str(
-                ipaddress.IPv6Address(value[4:20])
+            # A cut-short next hop must not hit a 4-byte IPv4 entry.
+            if len(value) < 20:
+                raise WireFormatError("truncated MP_REACH_NLRI next hop")
+            fields["_mp_next_hop"] = _address_text(
+                value[4:20], ipaddress.IPv6Address
             )
         reach_v6.extend(_decode_nlri_block(value[nlri_offset:], 6))
 
@@ -618,16 +683,25 @@ def _encode_as_path(path: ASPath) -> bytes:
 def _decode_as_path(data: bytes) -> ASPath:
     segments = []
     offset = 0
-    while offset < len(data):
-        if offset + 2 > len(data):
+    end = len(data)
+    while offset < end:
+        if offset + 2 > end:
             raise WireFormatError("truncated AS_PATH segment header")
         kind, count = data[offset], data[offset + 1]
         offset += 2
         needed = count * 4
-        if offset + needed > len(data):
+        if offset + needed > end:
             raise WireFormatError("truncated AS_PATH segment")
-        asns = struct.unpack(f"!{count}I", data[offset : offset + needed])
+        asns = struct.unpack_from(f"!{count}I", data, offset)
         offset += needed
+        if kind == _AS_SEQUENCE and count:
+            # What PathSegment(...) checks holds here: a known kind,
+            # 1-255 members, each a 32-bit value and so a valid ASN.
+            members = _interned(asns, _ASN_MEMO, _ASN_STATS, _intern_asn)
+            segments.append(
+                tuple.__new__(PathSegment, (_AS_SEQUENCE, members))
+            )
+            continue
         try:
             segments.append(PathSegment(SegmentType(kind), asns))
         except ValueError as exc:

@@ -787,9 +787,13 @@ def _scenario_sweep_status(arguments) -> int:
     if arguments.cache_dir is None:
         print("--status requires --cache-dir", file=sys.stderr)
         return 2
-    status = collect_sweep_status(
-        arguments.cache_dir, lost_after=arguments.lost_after
-    )
+    try:
+        status = collect_sweep_status(
+            arguments.cache_dir, lost_after=arguments.lost_after
+        )
+    except ValueError as exc:
+        print(f"bad sweep arguments: {exc}", file=sys.stderr)
+        return 2
     if not status.cells:
         print(
             f"no sweep manifest found in {arguments.cache_dir}",

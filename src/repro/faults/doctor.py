@@ -35,6 +35,7 @@ backend's exactly-once machinery to keep cells from double-computing.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 from dataclasses import dataclass, field
@@ -159,13 +160,17 @@ class Doctor:
         grace_seconds: float = DEFAULT_GRACE_SECONDS,
         lease_seconds: float = DEFAULT_LEASE_SECONDS,
     ):
-        if grace_seconds <= 0:
+        # NaN fails every comparison, so a NaN lease would make each
+        # live claim look stale and --repair requeue it.
+        if not (math.isfinite(grace_seconds) and grace_seconds > 0):
             raise ValueError(
-                f"grace_seconds must be > 0, got {grace_seconds!r}"
+                f"grace_seconds must be finite and > 0,"
+                f" got {grace_seconds!r}"
             )
-        if lease_seconds <= 0:
+        if not (math.isfinite(lease_seconds) and lease_seconds > 0):
             raise ValueError(
-                f"lease_seconds must be > 0, got {lease_seconds!r}"
+                f"lease_seconds must be finite and > 0,"
+                f" got {lease_seconds!r}"
             )
         self.root = str(root)
         self.repair = repair

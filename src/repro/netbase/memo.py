@@ -1,7 +1,8 @@
 """Shared bounded-memo primitive for the decode hot path.
 
 Every read-path cache — attribute blocks, AS paths, community sets,
-NLRI encodings, packed addresses, MRT envelopes, cleaning-pipeline
+large-community sets, single community and ASN values, packed IPv4
+and IPv6 addresses, NLRI encodings, MRT envelopes, cleaning-pipeline
 scans — uses one eviction policy: when the memo reaches its bound it
 is cleared wholesale and refills from the live working set.  Real
 archives have small working sets, so a full clear costs one cold

@@ -34,6 +34,7 @@ status poller only needs the recent events.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -213,6 +214,12 @@ def collect_sweep_status(
     # the scenarios layer.
     from repro.scenarios.runner import SweepManifest
 
+    if lost_after is not None and not (
+        math.isfinite(lost_after) and lost_after > 0
+    ):
+        raise ValueError(
+            f"lost_after must be finite and > 0, got {lost_after!r}"
+        )
     if now is None:
         now = time.time()
     manifest = SweepManifest.load(cache_dir)

@@ -359,6 +359,29 @@ class TestScenarioCommand:
         assert "must be finite" in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.fixture(scope="class")
+    def swept_cache(self, tmp_path_factory):
+        """A cache dir holding one finished ``lab-junos`` sweep."""
+        cache = tmp_path_factory.mktemp("swept") / "cache"
+        argv = ["scenario", "sweep", "lab-junos", "--seeds", "1"]
+        assert main([*argv, "--cache-dir", str(cache)]) == 0
+        return str(cache)
+
+    @pytest.mark.parametrize("lost_after", ["nan", "inf", "0", "-5"])
+    def test_status_bad_lost_after_rejected(
+        self, lost_after, swept_cache, capsys
+    ):
+        # `--lost-after nan` used to render the status and exit 0.
+        capsys.readouterr()
+        argv = ["scenario", "sweep", "--status", "--cache-dir"]
+        argv += [swept_cache, "--lost-after", lost_after]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("bad sweep arguments: ")
+        assert "must be finite and > 0" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+
     def test_sweep_bad_shard_rejected(self, capsys):
         # --shard is gone (the queue backend partitions a sweep
         # dynamically); any value is now an unknown argument.

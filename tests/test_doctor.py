@@ -69,6 +69,14 @@ class TestCleanTree:
         with pytest.raises(ValueError):
             doctor.run_doctor(str(tmp_path), **{field: 0})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["grace_seconds", "lease_seconds"])
+    def test_non_finite_thresholds_rejected(self, tmp_path, field, value):
+        # A NaN lease fails every age comparison, so --repair would
+        # requeue live claims.
+        with pytest.raises(ValueError, match="must be finite"):
+            doctor.run_doctor(str(tmp_path), **{field: value})
+
 
 class TestOrphanTmp:
     def test_detected_and_removed(self, tmp_path):
@@ -290,6 +298,22 @@ class TestDoctorCli:
         assert payload["clean"] is False
         assert payload["findings"][0]["kind"] == "orphan-tmp"
         assert payload["findings"][0]["repaired"] is False
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--lease", "nan"],
+            ["--grace", "nan"],
+            ["--lease", "inf"],
+            ["--lease", "nan", "--grace", "nan"],
+        ],
+    )
+    def test_non_finite_thresholds_exit_two(self, tmp_path, flags):
+        proc = self._run(str(tmp_path), "--repair", *flags)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert "must be finite" in proc.stderr
 
     def test_missing_directory_exits_two(self, tmp_path):
         proc = self._run(str(tmp_path / "absent"))

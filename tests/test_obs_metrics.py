@@ -177,7 +177,7 @@ class TestMemoStats:
 
     def test_every_hot_cache_is_named(self):
         # Importing the hot-path modules registers their counters; the
-        # instrumentation surface must cover all nine bounded stores.
+        # instrumentation surface must cover all eleven bounded stores.
         import repro.analysis.cleaning  # noqa: F401
         import repro.bgp.wire  # noqa: F401
         import repro.mrt.reader  # noqa: F401
@@ -190,7 +190,9 @@ class TestMemoStats:
             "wire.as_path",
             "wire.community_set",
             "wire.large_set",
-            "wire.addr4",
+            "wire.community",
+            "wire.asn",
+            "wire.addr",
             "prefix.nlri",
             "mrt.envelope",
             "cleaning.path_info",

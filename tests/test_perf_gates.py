@@ -17,7 +17,9 @@ elsewhere: instrumentation is byte-neutral (``test_obs_engine.py``),
 spill bytes equal the ``full`` dump (``test_mrt_roundtrip.py``) and
 archive policies leave metrics unchanged (``test_pipeline.py``).
 Memos on against memos off is checked here too, on the same
-full-size archive the read floor times.
+full-size archive the read floor times, and so is one deterministic
+count: the decoder shares one object per distinct community value and
+per distinct AS-path member.
 """
 
 import dataclasses
@@ -176,6 +178,32 @@ def test_decode_memos_do_not_change_the_archive(amplified_archive):
         _set_decode_memos(True)
     assert sum(fast[1].values()) > 0
     assert fast == naive
+
+
+def test_decoded_values_are_one_object_per_distinct_value(
+    amplified_archive,
+):
+    # A count, not a timing: the decoder builds one Community per
+    # distinct community value and one ASN per distinct AS-path member,
+    # however many sets and paths carry them.
+    _set_decode_memos(True)
+    _decode_classify(amplified_archive)
+    communities = [
+        community
+        for community_set in wire._COMMUNITY_SET_MEMO.values()
+        for community in community_set.classic
+    ]
+    asns = [
+        asn
+        for path in wire._AS_PATH_MEMO.values()
+        for asn in path.asns()
+    ]
+    for members in (communities, asns):
+        distinct = set(members)
+        # Values recur across sets, so sharing is observable ...
+        assert len(members) > 2 * len(distinct)
+        # ... and each value is one object, held by every set or path.
+        assert len({id(member) for member in members}) == len(distinct)
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,7 @@ import dataclasses
 import io
 import json
 import os
+import pickle
 import random
 import struct
 
@@ -19,8 +20,8 @@ import pytest
 
 from repro.analysis.classify import UpdateClassifier
 from repro.bgp import wire
-from repro.bgp.aspath import ASPath
-from repro.bgp.community import CommunitySet
+from repro.bgp.aspath import ASPath, PathSegment, SegmentType
+from repro.bgp.community import Community, CommunitySet
 from repro.bgp.constants import MARKER
 from repro.bgp.errors import MessageError, WireFormatError
 from repro.bgp.attributes import PathAttributes
@@ -30,6 +31,7 @@ from repro.mrt.reader import MRTReader
 from repro.mrt.records import Bgp4mpMessage, MRTError
 from repro.mrt.writer import dump_records
 from repro.netbase import prefix as prefix_module
+from repro.netbase.asn import ASN
 from repro.netbase.prefix import Prefix
 from repro.pipeline import replay_mrt
 from repro.scenarios import (
@@ -326,6 +328,125 @@ class TestDecodeMemo:
         assert first is second
         assert consumed_a == consumed_b == 4
         assert str(first) == "84.205.64.0/24"
+
+
+class TestValueIntern:
+    """The member memos: one Community / ASN object per wire value."""
+
+    def decode(self, path, communities):
+        data = dump_records(
+            [record(message=update(path=path, communities=communities))]
+        )
+        (item,) = MRTReader(io.BytesIO(data))
+        return item.message.attributes
+
+    @staticmethod
+    def member(collection, value):
+        (found,) = [item for item in collection if item == value]
+        return found
+
+    def test_different_blocks_share_members(self, all_memos_on):
+        first = self.decode("20205 3356 174", "3356:300 3356:2001")
+        second = self.decode("20205 64500", "3356:300 64500:1")
+        assert first is not second
+        assert first.communities is not second.communities
+        assert first.as_path is not second.as_path
+        value = Community.parse("3356:300")
+        assert self.member(first.communities.classic, value) is (
+            self.member(second.communities.classic, value)
+        )
+        assert first.as_path.first_asn is second.as_path.first_asn
+
+    def test_hits_and_misses_count_members(self, all_memos_on):
+        before = {
+            name: (stats.hits, stats.misses)
+            for name, stats in (
+                ("community", wire._COMMUNITY_STATS),
+                ("asn", wire._ASN_STATS),
+            )
+        }
+        self.decode("20205 3356 174 12654", "3356:300 3356:2001")
+        self.decode("20205 174 64500", "3356:300 64500:1")
+        delta = {
+            name: (
+                stats.hits - before[name][0],
+                stats.misses - before[name][1],
+            )
+            for name, stats in (
+                ("community", wire._COMMUNITY_STATS),
+                ("asn", wire._ASN_STATS),
+            )
+        }
+        assert delta == {"community": (1, 3), "asn": (2, 5)}
+
+    @pytest.mark.parametrize("memos", [True, False])
+    def test_members_are_exact_value_types(self, all_memos_on, memos):
+        wire.set_decode_memo(memos)
+        for _ in range(2):  # with memos on, the second one hits
+            attrs = self.decode(
+                "20205 3356 {64502,64503} 174", "3356:300 65535:666"
+            )
+            assert attrs.communities.classic
+            for community in attrs.communities.classic:
+                assert type(community) is Community
+            kinds = []
+            for segment in attrs.as_path.segments:
+                kinds.append(segment.kind)
+                assert type(segment.kind) is SegmentType
+                for asn in segment.asns:
+                    assert type(asn) is ASN
+            assert kinds == [
+                SegmentType.AS_SEQUENCE,
+                SegmentType.AS_SET,
+                SegmentType.AS_SEQUENCE,
+            ]
+            assert type(attrs.as_path.segments[0]) is PathSegment
+            assert attrs.as_path.segments[1].is_set
+
+    def test_member_memos_are_bounded(self, all_memos_on, monkeypatch):
+        monkeypatch.setattr(wire, "_MEMO_LIMIT", 8)
+        evictions = (
+            wire._COMMUNITY_STATS.evictions, wire._ASN_STATS.evictions
+        )
+        for index in range(20):
+            self.decode(
+                f"{3000 + index} {4000 + index}",
+                f"3356:{index} 64500:{index}",
+            )
+            sizes = wire.decode_memo_sizes()
+            assert sizes["community"] <= 8
+            assert sizes["asn"] <= 8
+        assert wire._COMMUNITY_STATS.evictions > evictions[0]
+        assert wire._ASN_STATS.evictions > evictions[1]
+
+    def test_memo_off_clears_and_stops_interning(self, all_memos_on):
+        self.decode("20205 3356", "3356:300")
+        sizes = wire.decode_memo_sizes()
+        assert sizes["community"] == 1
+        assert sizes["asn"] == 2
+        wire.set_decode_memo(False)
+        assert set(wire.decode_memo_sizes().values()) == {0}
+        first = self.decode("20205 3356", "3356:300")
+        second = self.decode("20205 64500", "3356:300 64500:1")
+        assert set(wire.decode_memo_sizes().values()) == {0}
+        value = Community.parse("3356:300")
+        shared = self.member(first.communities.classic, value)
+        assert shared == self.member(second.communities.classic, value)
+        assert shared is not self.member(second.communities.classic, value)
+        assert first.as_path.first_asn is not second.as_path.first_asn
+
+    def test_decoded_attributes_survive_pickle(self, all_memos_on):
+        attrs = self.decode(
+            "20205 3356 {64502,64503} 174", "3356:300 65535:666"
+        )
+        restored = pickle.loads(pickle.dumps(attrs))
+        assert restored == attrs
+        assert hash(restored) == hash(attrs)
+        assert restored.as_path.segments == attrs.as_path.segments
+        assert type(restored.as_path.segments[0]) is PathSegment
+        assert restored.as_path.segments[1].is_set
+        for community in restored.communities.classic:
+            assert type(community) is Community
 
 
 # ----------------------------------------------------------------------
